@@ -4,7 +4,8 @@
 
 use adsim_bench::header;
 use adsim_dnn::quant::{quant_conv2d, QuantTensor};
-use adsim_tensor::{ops, Tensor};
+use adsim_runtime::Runtime;
+use adsim_tensor::{ops, simd, Tensor};
 use std::time::Instant;
 
 fn main() {
@@ -18,16 +19,17 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "Layer", "f32 (ms)", "int8 (ms)", "max |err|", "rel err", "mem ratio"
     );
+    let rt = Runtime::serial();
     for (c_in, c_out, hw) in [(8usize, 16usize, 32usize), (16, 32, 16), (32, 64, 8)] {
         let input = Tensor::from_fn([1, c_in, hw, hw], |_| next());
         let weight = Tensor::from_fn([c_out, c_in, 3, 3], |_| next());
         let qweight = QuantTensor::quantize(&weight);
 
         let t = Instant::now();
-        let exact = ops::conv2d(&input, &weight, None, 1, 1).unwrap();
+        let exact = ops::conv2d(&rt, simd::active(), &input, &weight, None, 1, 1).unwrap();
         let t_f32 = t.elapsed().as_secs_f64() * 1e3;
         let t = Instant::now();
-        let approx = quant_conv2d(&input, &qweight, None, 1, 1).unwrap();
+        let approx = quant_conv2d(&rt, &input, &qweight, None, 1, 1).unwrap();
         let t_i8 = t.elapsed().as_secs_f64() * 1e3;
 
         let out_scale = exact.iter().fold(0.0f32, |m, &x| m.max(x.abs()));

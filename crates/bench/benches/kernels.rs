@@ -12,7 +12,8 @@ use adsim_dnn::{Activation, NetworkBuilder};
 use adsim_perception::{BlobDetector, Detector};
 use adsim_planning::{Centerline, ConformalPlanner, LatticePlanner, Obstacle};
 use adsim_slam::{Landmark, PriorMap};
-use adsim_tensor::{ops, Tensor};
+use adsim_runtime::Runtime;
+use adsim_tensor::{ops, simd, Tensor};
 use adsim_vision::{match_descriptors, Descriptor, GrayImage, OrbExtractor, Point2, Pose2};
 use std::hint::black_box;
 
@@ -28,12 +29,15 @@ fn scene() -> GrayImage {
 }
 
 fn bench_tensor() {
+    let (rt, isa) = (Runtime::serial(), simd::active());
     let input = Tensor::filled([1, 16, 32, 32], 0.5);
     let weight = Tensor::filled([32, 16, 3, 3], 0.01);
     report(
         "conv2d_16x32x32_k32f3",
         &measure(BUDGET_MS, || {
-            black_box(ops::conv2d(black_box(&input), black_box(&weight), None, 1, 1).unwrap());
+            black_box(
+                ops::conv2d(&rt, isa, black_box(&input), black_box(&weight), None, 1, 1).unwrap(),
+            );
         }),
     );
     let a = Tensor::filled([128, 128], 1.0);
@@ -41,18 +45,19 @@ fn bench_tensor() {
     report(
         "matmul_128",
         &measure(BUDGET_MS, || {
-            black_box(ops::matmul(black_box(&a), black_box(&bm)).unwrap());
+            black_box(ops::matmul(&rt, isa, black_box(&a), black_box(&bm)).unwrap());
         }),
     );
 }
 
 fn bench_dnn() {
+    let rt = Runtime::serial();
     let net = yolo_tiny(4);
     let input = Tensor::zeros([1, 1, 32, 32]);
     report(
         "yolo_tiny_forward_32",
         &measure(BUDGET_MS, || {
-            black_box(net.forward(black_box(&input)).unwrap());
+            black_box(net.forward(&rt, black_box(&input)).unwrap());
         }),
     );
 
@@ -62,7 +67,7 @@ fn bench_dnn() {
     report(
         "quant_conv2d_16x32x32_k32f3",
         &measure(BUDGET_MS, || {
-            black_box(quant_conv2d(black_box(&qin), black_box(&qw), None, 1, 1).unwrap());
+            black_box(quant_conv2d(&rt, black_box(&qin), black_box(&qw), None, 1, 1).unwrap());
         }),
     );
 
@@ -79,13 +84,13 @@ fn bench_dnn() {
     report(
         "forward_with_batchnorm",
         &measure(BUDGET_MS, || {
-            black_box(bn_net.forward(black_box(&bn_in)).unwrap());
+            black_box(bn_net.forward(&rt, black_box(&bn_in)).unwrap());
         }),
     );
     report(
         "forward_bn_folded",
         &measure(BUDGET_MS, || {
-            black_box(folded.forward(black_box(&bn_in)).unwrap());
+            black_box(folded.forward(&rt, black_box(&bn_in)).unwrap());
         }),
     );
 }

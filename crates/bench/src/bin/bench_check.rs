@@ -20,7 +20,7 @@
 //! ```
 
 use adsim_bench::check::compare;
-use adsim_bench::json::{parse, Value};
+use adsim_trace::json::{parse, Value};
 
 fn load(path: &str) -> Value {
     let text = std::fs::read_to_string(path)

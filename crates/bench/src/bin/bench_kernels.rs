@@ -141,7 +141,7 @@ fn main() {
     });
     report(&format!("matmul_naive_{mm_small}"), &naive);
     let tiled = measure(BUDGET_MS, || {
-        std::hint::black_box(ops::matmul_isa(&serial, &a, &b, Isa::SCALAR).unwrap());
+        std::hint::black_box(ops::matmul(&serial, Isa::SCALAR, &a, &b).unwrap());
     });
     report(&format!("matmul_tiled_{mm_small} scalar t=1"), &tiled);
     println!(
@@ -165,7 +165,7 @@ fn main() {
 
     // -- Vector unit alone: scalar vs SIMD backend, 1 thread. ---------
     ab_scalar_simd(&mut rows, &format!("matmul_{mm_small}"), mm_flops, |backend| {
-        std::hint::black_box(ops::matmul_isa(&serial, &a, &b, backend).unwrap());
+        std::hint::black_box(ops::matmul(&serial, backend, &a, &b).unwrap());
     });
     let input = fill([1, 16, conv_side, conv_side]);
     let weight = fill([32, 16, 3, 3]);
@@ -174,13 +174,13 @@ fn main() {
     let conv_flops = 2.0 * 32.0 * 16.0 * 9.0 * (conv_side * conv_side) as f64;
     ab_scalar_simd(&mut rows, &format!("conv2d_{conv_side}"), conv_flops, |backend| {
         std::hint::black_box(
-            ops::conv2d_isa(&serial, &input, &weight, Some(&bias), 1, 1, backend).unwrap(),
+            ops::conv2d(&serial, backend, &input, &weight, Some(&bias), 1, 1).unwrap(),
         );
     });
     let act = fill([mm_big, mm_big]);
     let elem_flops = (mm_big * mm_big) as f64;
     ab_scalar_simd(&mut rows, &format!("relu_{mm_big}sq"), elem_flops, |backend| {
-        std::hint::black_box(ops::relu_isa(&serial, &act, backend));
+        std::hint::black_box(ops::relu(&serial, backend, &act));
     });
     let (bn_c, bn_hw) = (16, mm_big / 4);
     let bn_in = fill([1, bn_c, bn_hw, bn_hw]);
@@ -196,7 +196,7 @@ fn main() {
     let bn_flops = 2.0 * (bn_c * bn_hw * bn_hw) as f64;
     ab_scalar_simd(&mut rows, &format!("batch_norm_{bn_c}x{bn_hw}sq"), bn_flops, |backend| {
         std::hint::black_box(
-            ops::batch_norm_isa(&serial, &bn_in, &gamma, &beta, &mean, &var, 1e-5, backend)
+            ops::batch_norm(&serial, backend, &bn_in, &gamma, &beta, &mean, &var, 1e-5)
                 .unwrap(),
         );
     });
@@ -209,7 +209,7 @@ fn main() {
     for t in THREADS {
         let rt = Runtime::new(t);
         let m = measure(BUDGET_MS, || {
-            std::hint::black_box(ops::matmul_with(&rt, &a, &b).unwrap());
+            std::hint::black_box(ops::matmul(&rt, isa, &a, &b).unwrap());
         });
         report(&format!("matmul_tiled_{mm_big} t={t}"), &m);
         rows.push(Row {
@@ -235,7 +235,7 @@ fn main() {
         let rt = Runtime::new(t);
         let m = measure(BUDGET_MS, || {
             std::hint::black_box(
-                ops::conv2d_with(&rt, &input, &weight, Some(&bias), 1, 1).unwrap(),
+                ops::conv2d(&rt, isa, &input, &weight, Some(&bias), 1, 1).unwrap(),
             );
         });
         report(&format!("conv2d_im2col_{conv_side} t={t}"), &m);
@@ -255,7 +255,7 @@ fn main() {
     for t in THREADS {
         let rt = Runtime::new(t);
         let m = measure(BUDGET_MS, || {
-            std::hint::black_box(net.forward_with(&rt, &input).unwrap());
+            std::hint::black_box(net.forward(&rt, &input).unwrap());
         });
         report(&format!("yolo_forward_g{grid} t={t}"), &m);
         rows.push(Row::plain(format!("yolo_forward_g{grid}"), t, m));

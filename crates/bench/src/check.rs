@@ -10,7 +10,7 @@
 //! leaves, a relative tolerance (or, by default, a type-and-finiteness
 //! check) for wall-clock leaves.
 
-use crate::json::Value;
+use adsim_trace::json::Value;
 
 /// One divergence between baseline and fresh documents.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +138,7 @@ fn walk(base: &Value, fresh: &Value, path: &str, wallclock: bool, tol: f64, diff
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use adsim_trace::json::parse;
 
     #[test]
     fn wallclock_keys_are_classified() {

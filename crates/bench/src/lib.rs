@@ -8,7 +8,6 @@
 //! implementations in this workspace.
 
 pub mod check;
-pub mod json;
 pub mod paper;
 pub mod timing;
 

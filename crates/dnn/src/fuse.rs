@@ -92,6 +92,7 @@ mod tests {
     use super::*;
     use crate::layer::Activation;
     use crate::network::NetworkBuilder;
+    use adsim_runtime::Runtime;
 
     fn bn_network() -> Network {
         NetworkBuilder::new("bn-test", [1, 2, 8, 8], 42)
@@ -115,8 +116,8 @@ mod tests {
         assert_eq!(report.folded, 1);
         assert_eq!(fused.layers().len(), net.layers().len() - 1);
         let input = Tensor::from_fn([1, 2, 8, 8], |i| ((i[2] * 3 + i[3]) % 7) as f32 / 7.0 - 0.4);
-        let a = net.forward(&input).unwrap();
-        let b = fused.forward(&input).unwrap();
+        let a = net.forward(&Runtime::serial(), &input).unwrap();
+        let b = fused.forward(&Runtime::serial(), &input).unwrap();
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
@@ -139,8 +140,8 @@ mod tests {
         let (fused, report) = fold_batch_norm(&net);
         assert_eq!(report.folded, 1);
         let input = Tensor::from_fn([1, 1, 6, 6], |i| i[3] as f32 / 6.0);
-        let a = net.forward(&input).unwrap();
-        let b = fused.forward(&input).unwrap();
+        let a = net.forward(&Runtime::serial(), &input).unwrap();
+        let b = fused.forward(&Runtime::serial(), &input).unwrap();
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() < 1e-5);
         }

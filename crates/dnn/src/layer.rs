@@ -1,7 +1,7 @@
 use crate::cost::LayerCost;
 use crate::Result;
 use adsim_runtime::Runtime;
-use adsim_tensor::{ops, Shape, Tensor, TensorError};
+use adsim_tensor::{ops, simd, Shape, Tensor, TensorError};
 
 /// Element-wise non-linearity applied after a layer's affine part.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -20,13 +20,16 @@ pub enum Activation {
 }
 
 impl Activation {
-    pub(crate) fn apply_with(self, rt: &Runtime, t: &Tensor) -> Tensor {
+    /// Applies the activation on `rt`'s workers with the host's SIMD
+    /// backend.
+    pub(crate) fn apply(self, rt: &Runtime, t: &Tensor) -> Tensor {
+        let isa = simd::active();
         match self {
             Activation::None => t.clone(),
-            Activation::Relu => ops::relu_with(rt, t),
-            Activation::LeakyRelu(a) => ops::leaky_relu_with(rt, t, a),
-            Activation::Sigmoid => ops::sigmoid_with(rt, t),
-            Activation::Tanh => ops::tanh_with(rt, t),
+            Activation::Relu => ops::relu(rt, isa, t),
+            Activation::LeakyRelu(a) => ops::leaky_relu(rt, isa, t, a),
+            Activation::Sigmoid => ops::sigmoid(rt, isa, t),
+            Activation::Tanh => ops::tanh(rt, isa, t),
         }
     }
 
@@ -124,33 +127,27 @@ impl Layer {
         }
     }
 
-    /// Runs the layer forward.
+    /// Runs the layer forward on a worker pool with the host's SIMD
+    /// backend: the compute-heavy kernels (convolution, linear, pooling,
+    /// activations) distribute across `rt`'s threads, while cheap
+    /// reshapes stay serial. Pass [`Runtime::serial`] to run on the
+    /// calling thread; the result is bit-identical on any thread count.
     ///
     /// # Errors
     ///
     /// Propagates any shape/parameter error from the underlying kernel.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.forward_with(&Runtime::serial(), input)
-    }
-
-    /// Runs the layer forward on a worker pool: the compute-heavy
-    /// kernels (convolution, linear, pooling, activations) distribute
-    /// across `rt`'s threads, while cheap reshapes stay serial.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any shape/parameter error from the underlying kernel.
-    pub fn forward_with(&self, rt: &Runtime, input: &Tensor) -> Result<Tensor> {
+    pub fn forward(&self, rt: &Runtime, input: &Tensor) -> Result<Tensor> {
+        let isa = simd::active();
         match self {
             Layer::Conv2d { weight, bias, stride, pad, activation } => {
-                let out = ops::conv2d_with(rt, input, weight, bias.as_ref(), *stride, *pad)?;
-                Ok(activation.apply_with(rt, &out))
+                let out = ops::conv2d(rt, isa, input, weight, bias.as_ref(), *stride, *pad)?;
+                Ok(activation.apply(rt, &out))
             }
             Layer::MaxPool2d { window, stride } => {
-                ops::max_pool2d_with(rt, input, *window, *stride)
+                ops::max_pool2d(rt, isa, input, *window, *stride)
             }
             Layer::BatchNorm { gamma, beta, mean, var, eps } => {
-                ops::batch_norm_with(rt, input, gamma, beta, mean, var, *eps)
+                ops::batch_norm(rt, isa, input, gamma, beta, mean, var, *eps)
             }
             Layer::Flatten => {
                 let n = input.shape().dim(0);
@@ -158,10 +155,10 @@ impl Layer {
                 input.reshape([n, features])
             }
             Layer::Linear { weight, bias, activation } => {
-                let out = ops::linear_with(rt, input, weight, bias.as_ref())?;
-                Ok(activation.apply_with(rt, &out))
+                let out = ops::linear(rt, isa, input, weight, bias.as_ref())?;
+                Ok(activation.apply(rt, &out))
             }
-            Layer::Activate(a) => Ok(a.apply_with(rt, input)),
+            Layer::Activate(a) => Ok(a.apply(rt, input)),
         }
     }
 
@@ -337,7 +334,7 @@ mod tests {
         let layer = conv_layer();
         let input = Tensor::zeros([1, 1, 8, 8]);
         let predicted = layer.output_shape(input.shape()).unwrap();
-        let actual = layer.forward(&input).unwrap();
+        let actual = layer.forward(&Runtime::serial(), &input).unwrap();
         assert_eq!(&predicted, actual.shape());
         assert_eq!(predicted.dims(), &[1, 2, 8, 8]);
     }
@@ -356,7 +353,7 @@ mod tests {
     #[test]
     fn flatten_collapses_trailing_dims() {
         let input = Tensor::zeros([2, 3, 4, 4]);
-        let out = Layer::Flatten.forward(&input).unwrap();
+        let out = Layer::Flatten.forward(&Runtime::serial(), &input).unwrap();
         assert_eq!(out.shape().dims(), &[2, 48]);
     }
 
@@ -375,9 +372,10 @@ mod tests {
     #[test]
     fn activation_layers_preserve_shape_and_apply() {
         let input = Tensor::from_vec([1, 2], vec![-1.0, 1.0]).unwrap();
-        let out = Layer::Activate(Activation::Relu).forward(&input).unwrap();
+        let out = Layer::Activate(Activation::Relu).forward(&Runtime::serial(), &input).unwrap();
         assert_eq!(out.as_slice(), &[0.0, 1.0]);
-        let out = Layer::Activate(Activation::LeakyRelu(0.5)).forward(&input).unwrap();
+        let leaky = Layer::Activate(Activation::LeakyRelu(0.5));
+        let out = leaky.forward(&Runtime::serial(), &input).unwrap();
         assert_eq!(out.as_slice(), &[-0.5, 1.0]);
     }
 

@@ -21,11 +21,12 @@
 //!
 //! ```
 //! use adsim_dnn::models;
+//! use adsim_runtime::Runtime;
 //! use adsim_tensor::Tensor;
 //!
 //! let net = models::yolo_tiny(8);
 //! let input = Tensor::zeros(net.input_shape().clone());
-//! let out = net.forward(&input).unwrap();
+//! let out = net.forward(&Runtime::serial(), &input).unwrap();
 //! assert_eq!(out.shape(), &net.output_shape().unwrap());
 //! assert!(net.cost().unwrap().total.flops > 0);
 //! ```

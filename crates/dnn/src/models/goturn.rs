@@ -58,10 +58,11 @@ pub fn goturn_spec() -> ArchSpec {
 ///
 /// ```
 /// use adsim_dnn::models::goturn_tiny;
+/// use adsim_runtime::Runtime;
 /// use adsim_tensor::Tensor;
 ///
 /// let net = goturn_tiny();
-/// let out = net.forward(&Tensor::zeros([1, 2, 32, 32])).unwrap();
+/// let out = net.forward(&Runtime::serial(), &Tensor::zeros([1, 2, 32, 32])).unwrap();
 /// assert_eq!(out.shape().dims(), &[1, 4]);
 /// ```
 pub fn goturn_tiny() -> Network {
@@ -90,6 +91,7 @@ pub fn try_goturn_tiny() -> Result<Network, ModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adsim_runtime::Runtime;
     use adsim_tensor::Tensor;
 
     #[test]
@@ -107,9 +109,8 @@ mod tests {
     #[test]
     fn tiny_output_is_normalized_bbox() {
         let net = goturn_tiny();
-        let out = net
-            .forward(&Tensor::from_fn([1, 2, 32, 32], |i| (i[2] + i[3]) as f32 / 64.0))
-            .unwrap();
+        let input = Tensor::from_fn([1, 2, 32, 32], |i| (i[2] + i[3]) as f32 / 64.0);
+        let out = net.forward(&Runtime::serial(), &input).unwrap();
         for &v in out.iter() {
             assert!((0.0..=1.0).contains(&v), "sigmoid output in range, got {v}");
         }
@@ -118,8 +119,9 @@ mod tests {
     #[test]
     fn tiny_is_sensitive_to_input() {
         let net = goturn_tiny();
-        let a = net.forward(&Tensor::filled([1, 2, 32, 32], 0.0)).unwrap();
-        let b = net.forward(&Tensor::filled([1, 2, 32, 32], 1.0)).unwrap();
+        let rt = Runtime::serial();
+        let a = net.forward(&rt, &Tensor::filled([1, 2, 32, 32], 0.0)).unwrap();
+        let b = net.forward(&rt, &Tensor::filled([1, 2, 32, 32], 1.0)).unwrap();
         assert_ne!(a, b, "different crops must regress different boxes");
     }
 }

@@ -113,6 +113,7 @@ pub fn goturn_tiny_shared() -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adsim_runtime::Runtime;
     use adsim_tensor::Tensor;
 
     #[test]
@@ -155,8 +156,8 @@ mod tests {
         }
         let input = Tensor::from_fn([1, 1, 32, 32], |i| ((i[2] ^ i[3]) & 1) as f32);
         assert_eq!(
-            shared.forward(&input).unwrap(),
-            fresh.forward(&input).unwrap(),
+            shared.forward(&Runtime::serial(), &input).unwrap(),
+            fresh.forward(&Runtime::serial(), &input).unwrap(),
             "inference is bit-identical through shared weights"
         );
     }
@@ -165,7 +166,7 @@ mod tests {
     fn inference_does_not_detach_shared_storage() {
         let net = goturn_tiny_shared();
         let before: Vec<_> = net.params().iter().map(|t| t.storage_ptr()).collect();
-        net.forward(&Tensor::zeros([1, 2, 32, 32])).unwrap();
+        net.forward(&Runtime::serial(), &Tensor::zeros([1, 2, 32, 32])).unwrap();
         let after: Vec<_> = net.params().iter().map(|t| t.storage_ptr()).collect();
         assert_eq!(before, after, "forward never writes weights, so CoW never fires");
     }

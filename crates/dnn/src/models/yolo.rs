@@ -268,6 +268,7 @@ pub fn try_yolo_v2_tiny(grid: usize) -> Result<Network, ModelError> {
 mod tests {
     use super::*;
     use crate::detection::decode_grid;
+    use adsim_runtime::Runtime;
     use adsim_tensor::Tensor;
 
     #[test]
@@ -351,7 +352,7 @@ mod tests {
         assert_eq!(net.input_shape().dims(), &[1, 1, 32, 32]);
         assert_eq!(net.output_shape().unwrap().dims(), yolo_tiny(4).output_shape().unwrap().dims());
         let input = Tensor::from_fn([1, 1, 32, 32], |i| ((i[2] ^ i[3]) & 1) as f32);
-        let dets = decode_grid(&net.forward(&input).unwrap(), 0.0);
+        let dets = decode_grid(&net.forward(&Runtime::serial(), &input).unwrap(), 0.0);
         assert_eq!(dets.len(), 16);
         assert_eq!(
             try_yolo_v2_tiny(0).unwrap_err(),
@@ -371,7 +372,7 @@ mod tests {
     fn tiny_net_runs_and_decodes() {
         let net = yolo_tiny(4);
         let input = Tensor::from_fn([1, 1, 32, 32], |i| ((i[2] ^ i[3]) & 1) as f32);
-        let out = net.forward(&input).unwrap();
+        let out = net.forward(&Runtime::serial(), &input).unwrap();
         // With random weights we only require structural validity:
         // decodable output and scores in range.
         let dets = decode_grid(&out, 0.0);

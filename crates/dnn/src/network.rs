@@ -14,6 +14,7 @@ use adsim_tensor::{Shape, Tensor, TensorError};
 ///
 /// ```
 /// use adsim_dnn::{Activation, NetworkBuilder};
+/// use adsim_runtime::Runtime;
 /// use adsim_tensor::Tensor;
 ///
 /// let net = NetworkBuilder::new("demo", [1, 1, 8, 8], 42)
@@ -23,7 +24,7 @@ use adsim_tensor::{Shape, Tensor, TensorError};
 ///     .linear(10, Activation::None)
 ///     .build()
 ///     .unwrap();
-/// let out = net.forward(&Tensor::zeros([1, 1, 8, 8])).unwrap();
+/// let out = net.forward(&Runtime::serial(), &Tensor::zeros([1, 1, 8, 8])).unwrap();
 /// assert_eq!(out.shape().dims(), &[1, 10]);
 /// ```
 #[derive(Debug, Clone)]
@@ -89,71 +90,43 @@ impl Network {
         Ok(shape)
     }
 
-    /// Runs the network on `input`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `input` does not match
-    /// the declared input shape, or propagates kernel errors.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.forward_with(&Runtime::serial(), input)
-    }
-
-    /// Runs the network on `input` with every layer's kernels
-    /// distributed over `rt`'s worker pool.
-    ///
-    /// Layers still execute in sequence — inference is a dependency
-    /// chain — but each convolution/linear/pool/activation partitions
-    /// its own work across threads. Results are bit-identical to
-    /// [`Network::forward`] on any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `input` does not match
-    /// the declared input shape, or propagates kernel errors.
-    pub fn forward_with(&self, rt: &Runtime, input: &Tensor) -> Result<Tensor> {
-        if input.shape() != &self.input_shape {
+    /// Checks that `input` is a `[n, ...]` batch whose per-image dims
+    /// match the declared input shape.
+    pub(crate) fn check_input(&self, input: &Tensor) -> Result<()> {
+        let want = self.input_shape.dims();
+        let got = input.shape().dims();
+        if got.len() != want.len() || got[1..] != want[1..] {
             return Err(TensorError::ShapeMismatch {
                 op: "network_forward",
                 lhs: input.shape().clone(),
                 rhs: self.input_shape.clone(),
             });
         }
-        self.run_layers(rt, input)
+        Ok(())
     }
 
     /// Runs the network on a `[n, ...]` batch whose per-image dims
-    /// match the declared input shape, with any `n ≥ 1`.
+    /// match the declared input shape, with any `n ≥ 1`, and with every
+    /// layer's kernels distributed over `rt`'s worker pool.
     ///
+    /// Layers still execute in sequence — inference is a dependency
+    /// chain — but each convolution/linear/pool/activation partitions
+    /// its own work across threads, so results are bit-identical on any
+    /// thread count ([`Runtime::serial`] runs on the calling thread).
     /// Every layer kind is batch-agnostic, so the whole batch flows
-    /// through each kernel as one call — a batch of `n` detector
-    /// frames shares one GEMM per conv layer instead of re-streaming
-    /// the weights `n` times. Thanks to the tensor crate's
+    /// through each kernel as one call — a batch of `n` detector frames
+    /// shares one GEMM per conv layer instead of re-streaming the
+    /// weights `n` times. Thanks to the tensor crate's
     /// column-position-invariant GEMM tails, the output for image `b`
-    /// is **bit-identical** to running that image alone through
-    /// [`Network::forward_with`].
+    /// is **bit-identical** to running that image alone.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `input`'s rank or
     /// per-image dims differ from the declared input shape, or
     /// propagates kernel errors.
-    pub fn forward_batched(&self, rt: &Runtime, input: &Tensor) -> Result<Tensor> {
-        let want = self.input_shape.dims();
-        let got = input.shape().dims();
-        if got.len() != want.len() || got[1..] != want[1..] {
-            return Err(TensorError::ShapeMismatch {
-                op: "network_forward_batched",
-                lhs: input.shape().clone(),
-                rhs: self.input_shape.clone(),
-            });
-        }
-        self.run_layers(rt, input)
-    }
-
-    /// Shared layer loop for [`Network::forward_with`] and
-    /// [`Network::forward_batched`]; assumes `input` already validated.
-    fn run_layers(&self, rt: &Runtime, input: &Tensor) -> Result<Tensor> {
+    pub fn forward(&self, rt: &Runtime, input: &Tensor) -> Result<Tensor> {
+        self.check_input(input)?;
         let mut x = input.clone();
         if adsim_trace::enabled() {
             // The traced path propagates the shape alongside the data so
@@ -166,12 +139,12 @@ impl Network {
                 shape = layer.output_shape(&shape)?;
                 let sp = adsim_trace::span_at(span_name(layer.kind()), i)
                     .with_cost(cost.flops, cost.total_bytes());
-                x = layer.forward_with(rt, &x)?;
+                x = layer.forward(rt, &x)?;
                 drop(sp);
             }
         } else {
             for layer in &self.layers {
-                x = layer.forward_with(rt, &x)?;
+                x = layer.forward(rt, &x)?;
             }
         }
         Ok(x)
@@ -383,8 +356,12 @@ mod tests {
             .linear(2, Activation::None)
             .build()
             .unwrap();
-        assert!(net.forward(&Tensor::zeros([1, 1, 4, 4])).is_ok());
-        assert!(net.forward(&Tensor::zeros([1, 1, 5, 5])).is_err());
+        let rt = Runtime::serial();
+        assert!(net.forward(&rt, &Tensor::zeros([1, 1, 4, 4])).is_ok());
+        assert!(net.forward(&rt, &Tensor::zeros([3, 1, 4, 4])).is_ok());
+        assert!(net.forward(&rt, &Tensor::zeros([1, 1, 5, 5])).is_err());
+        assert!(net.forward(&rt, &Tensor::zeros([3, 1, 5, 5])).is_err());
+        assert!(net.forward(&rt, &Tensor::zeros([1, 4, 4])).is_err());
     }
 
     #[test]
@@ -398,13 +375,13 @@ mod tests {
                 .unwrap()
         };
         let input = Tensor::from_fn([1, 1, 6, 6], |i| (i[2] * 6 + i[3]) as f32 / 36.0);
-        let a = make().forward(&input).unwrap();
-        let b = make().forward(&input).unwrap();
+        let a = make().forward(&Runtime::serial(), &input).unwrap();
+        let b = make().forward(&Runtime::serial(), &input).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn forward_with_matches_forward_on_any_thread_count() {
+    fn forward_is_bit_identical_on_any_thread_count() {
         let net = NetworkBuilder::new("t", [2, 2, 12, 12], 7)
             .conv(6, 3, 1, 1, Activation::LeakyRelu(0.1))
             .max_pool(2, 2)
@@ -416,15 +393,15 @@ mod tests {
         let input = Tensor::from_fn([2, 2, 12, 12], |i| {
             ((i[0] * 31 + i[1] * 17 + i[2] * 5 + i[3]) % 19) as f32 / 19.0 - 0.4
         });
-        let serial = net.forward(&input).unwrap();
+        let serial = net.forward(&Runtime::serial(), &input).unwrap();
         for threads in [1, 2, 8] {
-            let par = net.forward_with(&Runtime::new(threads), &input).unwrap();
+            let par = net.forward(&Runtime::new(threads), &input).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
 
     #[test]
-    fn forward_batched_matches_per_image_forward_bitwise() {
+    fn forward_batch_matches_per_image_forward_bitwise() {
         let net = NetworkBuilder::new("t", [1, 2, 12, 12], 7)
             .conv(6, 3, 1, 1, Activation::LeakyRelu(0.1))
             .max_pool(2, 2)
@@ -439,7 +416,7 @@ mod tests {
         let per_img = 2 * 12 * 12;
         for threads in [1, 2, 8] {
             let rt = Runtime::new(threads);
-            let batched = net.forward_batched(&rt, &batch).unwrap();
+            let batched = net.forward(&rt, &batch).unwrap();
             assert_eq!(batched.shape().dims(), &[5, 10]);
             for img in 0..5 {
                 let single = Tensor::from_vec(
@@ -447,7 +424,7 @@ mod tests {
                     batch.as_slice()[img * per_img..(img + 1) * per_img].to_vec(),
                 )
                 .unwrap();
-                let one = net.forward_with(&rt, &single).unwrap();
+                let one = net.forward(&rt, &single).unwrap();
                 for (j, (x, y)) in
                     batched.as_slice()[img * 10..(img + 1) * 10].iter().zip(one.iter()).enumerate()
                 {
@@ -459,19 +436,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn forward_batched_validates_per_image_dims() {
-        let net = NetworkBuilder::new("t", [1, 1, 4, 4], 1)
-            .flatten()
-            .linear(2, Activation::None)
-            .build()
-            .unwrap();
-        let rt = Runtime::serial();
-        assert!(net.forward_batched(&rt, &Tensor::zeros([3, 1, 4, 4])).is_ok());
-        assert!(net.forward_batched(&rt, &Tensor::zeros([3, 1, 5, 5])).is_err());
-        assert!(net.forward_batched(&rt, &Tensor::zeros([1, 4, 4])).is_err());
     }
 
     #[test]
@@ -498,7 +462,7 @@ mod tests {
             .batch_norm()
             .build()
             .unwrap();
-        let out = net.forward(&Tensor::filled([1, 2, 4, 4], 0.5)).unwrap();
+        let out = net.forward(&Runtime::serial(), &Tensor::filled([1, 2, 4, 4], 0.5)).unwrap();
         assert!(out.iter().all(|v| v.is_finite()));
     }
 }

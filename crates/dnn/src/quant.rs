@@ -167,22 +167,14 @@ impl QuantTensor {
 /// per-tensor, since a per-row scale on `b` would vary along the
 /// contraction axis and cannot be factored out of the integer sum.
 ///
+/// The GEMM is distributed over `rt`'s workers. Integer accumulation
+/// is exact, so the result is bit-identical on any thread count.
+///
 /// # Errors
 ///
 /// Returns an error on rank or inner-dimension mismatch, or if `b` is
 /// per-row quantized.
-pub fn quant_matmul(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-    quant_matmul_with(&Runtime::serial(), a, b)
-}
-
-/// [`quant_matmul`] with the GEMM distributed over `rt`'s workers.
-/// Integer accumulation is exact, so the result is bit-identical on
-/// any thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`quant_matmul`].
-pub fn quant_matmul_with(rt: &Runtime, a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
+pub fn quant_matmul(rt: &Runtime, a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
     if a.shape.rank() != 2 || b.shape.rank() != 2 {
         return Err(TensorError::RankMismatch {
             op: "quant_matmul",
@@ -225,28 +217,13 @@ pub fn quant_matmul_with(rt: &Runtime, a: &QuantTensor, b: &QuantTensor) -> Resu
 /// Activations are quantized with a **per-image** scale (each image's
 /// own max magnitude), so a batch of `n` produces bit-identical values
 /// to `n` single-image calls; weights may be per-tensor or per-row
-/// (per-output-channel) quantized.
+/// (per-output-channel) quantized. The GEMM is distributed over `rt`'s
+/// workers; the result is bit-identical on any thread count.
 ///
 /// # Errors
 ///
 /// Same conditions as [`ops::conv2d`].
 pub fn quant_conv2d(
-    input: &Tensor,
-    weight: &QuantTensor,
-    bias: Option<&Tensor>,
-    stride: usize,
-    pad: usize,
-) -> Result<Tensor> {
-    quant_conv2d_with(&Runtime::serial(), input, weight, bias, stride, pad)
-}
-
-/// [`quant_conv2d`] with the GEMM distributed over `rt`'s workers;
-/// bit-identical on any thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`ops::conv2d`].
-pub fn quant_conv2d_with(
     rt: &Runtime,
     input: &Tensor,
     weight: &QuantTensor,
@@ -316,7 +293,7 @@ pub fn quant_conv2d_with(
 /// # Errors
 ///
 /// Returns an error on rank or inner-dimension mismatch.
-pub fn quant_linear_with(
+pub fn quant_linear(
     rt: &Runtime,
     input: &Tensor,
     weight: &QuantTensor,
@@ -484,16 +461,6 @@ impl QuantNetwork {
         self.qweights.iter().flatten().map(QuantTensor::bytes).sum()
     }
 
-    /// Runs the network on `input` (any batch size whose per-image
-    /// dims match the declared input shape), serially.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantNetwork::forward_with`].
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.forward_with(&Runtime::serial(), input)
-    }
-
     /// Runs the network on `input` with kernels distributed over `rt`.
     /// Layers flagged [`LayerPrecision::Int8`] run the int8 lane path;
     /// everything else runs the float kernels. Accepts any batch size
@@ -504,16 +471,8 @@ impl QuantNetwork {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if per-image dims differ
     /// from the declared input shape, or propagates kernel errors.
-    pub fn forward_with(&self, rt: &Runtime, input: &Tensor) -> Result<Tensor> {
-        let want = self.net.input_shape().dims();
-        let got = input.shape().dims();
-        if got.len() != want.len() || got[1..] != want[1..] {
-            return Err(TensorError::ShapeMismatch {
-                op: "quant_network_forward",
-                lhs: input.shape().clone(),
-                rhs: self.net.input_shape().clone(),
-            });
-        }
+    pub fn forward(&self, rt: &Runtime, input: &Tensor) -> Result<Tensor> {
+        self.net.check_input(input)?;
         let mut x = input.clone();
         for i in 0..self.net.layers().len() {
             x = self.layer_forward(rt, i, &x)?;
@@ -527,14 +486,14 @@ impl QuantNetwork {
         let int8 = self.precision[i] == LayerPrecision::Int8;
         match (layer, &self.qweights[i]) {
             (Layer::Conv2d { bias, stride, pad, activation, .. }, Some(qw)) if int8 => {
-                let out = quant_conv2d_with(rt, x, qw, bias.as_ref(), *stride, *pad)?;
-                Ok(activation.apply_with(rt, &out))
+                let out = quant_conv2d(rt, x, qw, bias.as_ref(), *stride, *pad)?;
+                Ok(activation.apply(rt, &out))
             }
             (Layer::Linear { bias, activation, .. }, Some(qw)) if int8 => {
-                let out = quant_linear_with(rt, x, qw, bias.as_ref())?;
-                Ok(activation.apply_with(rt, &out))
+                let out = quant_linear(rt, x, qw, bias.as_ref())?;
+                Ok(activation.apply(rt, &out))
             }
-            _ => layer.forward_with(rt, x),
+            _ => layer.forward(rt, x),
         }
     }
 
@@ -550,7 +509,7 @@ impl QuantNetwork {
         let mut x = input.clone();
         let mut report = Vec::new();
         for (i, layer) in self.net.layers().iter().enumerate() {
-            let f32_out = layer.forward_with(rt, &x)?;
+            let f32_out = layer.forward(rt, &x)?;
             if self.qweights[i].is_some() {
                 let q_out = self.layer_forward(rt, i, &x)?;
                 let mut worst = 0.0f32;
@@ -624,10 +583,12 @@ mod tests {
 
     #[test]
     fn quant_matmul_tracks_float_matmul() {
+        let rt = Runtime::serial();
         let a = noisy([8, 16], 2);
         let b = noisy([16, 4], 3);
-        let exact = ops::matmul(&a, &b).unwrap();
-        let approx = quant_matmul(&QuantTensor::quantize(&a), &QuantTensor::quantize(&b)).unwrap();
+        let exact = ops::matmul(&rt, simd::active(), &a, &b).unwrap();
+        let approx =
+            quant_matmul(&rt, &QuantTensor::quantize(&a), &QuantTensor::quantize(&b)).unwrap();
         let scale = exact.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         for (x, y) in exact.iter().zip(approx.iter()) {
             assert!((x - y).abs() < 0.05 * scale.max(1.0), "{x} vs {y}");
@@ -636,35 +597,37 @@ mod tests {
 
     #[test]
     fn quant_matmul_accepts_per_row_lhs_rejects_per_row_rhs() {
+        let rt = Runtime::serial();
         let a = noisy([6, 16], 7);
         let b = noisy([16, 5], 8);
-        let out = quant_matmul(&QuantTensor::quantize_per_row(&a), &QuantTensor::quantize(&b))
-            .unwrap();
+        let per_row_a = QuantTensor::quantize_per_row(&a);
+        let per_row_b = QuantTensor::quantize_per_row(&b);
+        let out = quant_matmul(&rt, &per_row_a, &QuantTensor::quantize(&b)).unwrap();
         assert_eq!(out.shape().dims(), &[6, 5]);
-        assert!(
-            quant_matmul(&QuantTensor::quantize(&a), &QuantTensor::quantize_per_row(&b)).is_err()
-        );
+        assert!(quant_matmul(&rt, &QuantTensor::quantize(&a), &per_row_b).is_err());
     }
 
     #[test]
     fn quant_matmul_is_thread_invariant() {
+        let rt = Runtime::serial();
         let a = QuantTensor::quantize_per_row(&noisy([9, 40], 11));
         let b = QuantTensor::quantize(&noisy([40, 17], 12));
-        let serial = quant_matmul(&a, &b).unwrap();
+        let serial = quant_matmul(&rt, &a, &b).unwrap();
         for t in [2, 8] {
-            let par = quant_matmul_with(&Runtime::new(t), &a, &b).unwrap();
+            let par = quant_matmul(&Runtime::new(t), &a, &b).unwrap();
             assert_eq!(par, serial, "threads={t}");
         }
     }
 
     #[test]
     fn quant_conv_tracks_float_conv() {
+        let rt = Runtime::serial();
         let input = noisy([1, 3, 10, 10], 4);
         let weight = noisy([4, 3, 3, 3], 5);
         let bias = noisy([4], 6);
-        let exact = ops::conv2d(&input, &weight, Some(&bias), 1, 1).unwrap();
-        let approx =
-            quant_conv2d(&input, &QuantTensor::quantize(&weight), Some(&bias), 1, 1).unwrap();
+        let exact = ops::conv2d(&rt, simd::active(), &input, &weight, Some(&bias), 1, 1).unwrap();
+        let qweight = QuantTensor::quantize(&weight);
+        let approx = quant_conv2d(&rt, &input, &qweight, Some(&bias), 1, 1).unwrap();
         assert_eq!(exact.shape(), approx.shape());
         let scale = exact.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         let mut worst = 0.0f32;
@@ -676,6 +639,7 @@ mod tests {
 
     #[test]
     fn quant_conv_batch_matches_per_image_bitwise() {
+        let rt = Runtime::serial();
         // Per-image activation scales make the batched int8 conv
         // byte-identical to single-image calls — the quantized twin of
         // the f32 batched-conv parity contract.
@@ -683,7 +647,7 @@ mod tests {
         let weight = QuantTensor::quantize_per_row(&noisy([4, 2, 3, 3], 14));
         let bias = noisy([4], 15);
         let per_img = 2 * 9 * 9;
-        let batched = quant_conv2d(&input, &weight, Some(&bias), 1, 1).unwrap();
+        let batched = quant_conv2d(&rt, &input, &weight, Some(&bias), 1, 1).unwrap();
         let out_len = batched.len() / 3;
         for img in 0..3 {
             let single = Tensor::from_vec(
@@ -691,7 +655,7 @@ mod tests {
                 input.as_slice()[img * per_img..(img + 1) * per_img].to_vec(),
             )
             .unwrap();
-            let one = quant_conv2d(&single, &weight, Some(&bias), 1, 1).unwrap();
+            let one = quant_conv2d(&rt, &single, &weight, Some(&bias), 1, 1).unwrap();
             let got = &batched.as_slice()[img * out_len..(img + 1) * out_len];
             for (i, (x, y)) in got.iter().zip(one.iter()).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "img={img} elem={i}: {x} vs {y}");
@@ -701,15 +665,15 @@ mod tests {
 
     #[test]
     fn quant_linear_batch_matches_per_row_bitwise() {
+        let rt = Runtime::serial();
         let input = noisy([4, 24], 21);
         let weight = QuantTensor::quantize_per_row(&noisy([7, 24], 22));
         let bias = noisy([7], 23);
-        let rt = Runtime::serial();
-        let batched = quant_linear_with(&rt, &input, &weight, Some(&bias)).unwrap();
+        let batched = quant_linear(&rt, &input, &weight, Some(&bias)).unwrap();
         for i in 0..4 {
             let row =
                 Tensor::from_vec([1, 24], input.as_slice()[i * 24..(i + 1) * 24].to_vec()).unwrap();
-            let one = quant_linear_with(&rt, &row, &weight, Some(&bias)).unwrap();
+            let one = quant_linear(&rt, &row, &weight, Some(&bias)).unwrap();
             for (j, (x, y)) in
                 batched.as_slice()[i * 7..(i + 1) * 7].iter().zip(one.iter()).enumerate()
             {
@@ -720,11 +684,12 @@ mod tests {
 
     #[test]
     fn quant_matmul_validates_shapes() {
+        let rt = Runtime::serial();
         let a = QuantTensor::quantize(&Tensor::zeros([2, 3]));
         let b = QuantTensor::quantize(&Tensor::zeros([4, 2]));
-        assert!(quant_matmul(&a, &b).is_err());
+        assert!(quant_matmul(&rt, &a, &b).is_err());
         let v = QuantTensor::quantize(&Tensor::zeros([3]));
-        assert!(quant_matmul(&v, &a).is_err());
+        assert!(quant_matmul(&rt, &v, &a).is_err());
     }
 
     #[test]
@@ -747,13 +712,14 @@ mod tests {
 
     #[test]
     fn quant_network_tracks_float_network() {
+        let rt = Runtime::serial();
         let net = tiny_net();
         let qnet = QuantNetwork::from_network(&net);
         assert_eq!(qnet.int8_layers(), 3);
         assert!(qnet.quant_bytes() > 0);
         let input = noisy([1, 2, 12, 12], 41);
-        let exact = net.forward(&input).unwrap();
-        let approx = qnet.forward(&input).unwrap();
+        let exact = net.forward(&rt, &input).unwrap();
+        let approx = qnet.forward(&rt, &input).unwrap();
         let scale = exact.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         for (x, y) in exact.iter().zip(approx.iter()) {
             assert!((x - y).abs() < 0.1 * scale.max(1.0), "{x} vs {y}");
@@ -762,6 +728,7 @@ mod tests {
 
     #[test]
     fn all_f32_policy_is_bit_identical_to_float_network() {
+        let rt = Runtime::serial();
         let net = tiny_net();
         let mut qnet = QuantNetwork::from_network(&net);
         for i in 0..net.layers().len() {
@@ -769,8 +736,8 @@ mod tests {
         }
         assert_eq!(qnet.int8_layers(), 0);
         let input = noisy([1, 2, 12, 12], 42);
-        let exact = net.forward(&input).unwrap();
-        let same = qnet.forward(&input).unwrap();
+        let exact = net.forward(&rt, &input).unwrap();
+        let same = qnet.forward(&rt, &input).unwrap();
         for (x, y) in exact.iter().zip(same.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -778,11 +745,12 @@ mod tests {
 
     #[test]
     fn quant_network_batch_matches_per_image_bitwise() {
+        let rt = Runtime::serial();
         let net = tiny_net();
         let qnet = QuantNetwork::from_network(&net);
         let input = noisy([3, 2, 12, 12], 43);
         let per_img = 2 * 12 * 12;
-        let batched = qnet.forward(&input).unwrap();
+        let batched = qnet.forward(&rt, &input).unwrap();
         let out_len = batched.len() / 3;
         for img in 0..3 {
             let single = Tensor::from_vec(
@@ -790,7 +758,7 @@ mod tests {
                 input.as_slice()[img * per_img..(img + 1) * per_img].to_vec(),
             )
             .unwrap();
-            let one = qnet.forward(&single).unwrap();
+            let one = qnet.forward(&rt, &single).unwrap();
             for (i, (x, y)) in
                 batched.as_slice()[img * out_len..(img + 1) * out_len].iter().zip(one.iter()).enumerate()
             {
@@ -801,10 +769,11 @@ mod tests {
 
     #[test]
     fn layer_errors_reports_each_eligible_layer() {
+        let rt = Runtime::serial();
         let net = tiny_net();
         let qnet = QuantNetwork::from_network(&net);
         let input = noisy([1, 2, 12, 12], 44);
-        let errs = qnet.layer_errors(&Runtime::serial(), &input).unwrap();
+        let errs = qnet.layer_errors(&rt, &input).unwrap();
         assert_eq!(errs.len(), 3);
         assert_eq!(errs[0].kind, "conv2d");
         assert_eq!(errs[2].kind, "linear");

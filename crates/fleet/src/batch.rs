@@ -94,7 +94,7 @@ impl BatchedInference {
             let batched = Tensor::from_vec(vec![n, dims[1], dims[2], dims[3]], data)
                 .expect("stacked batch dims are consistent by grouping");
             let output = net
-                .forward_batched(&self.rt, &batched)
+                .forward(&self.rt, &batched)
                 .expect("shared-cache model accepts its own input shape");
             let odims = output.shape().dims().to_vec();
             let stride: usize = odims[1..].iter().product();

@@ -160,7 +160,7 @@ impl Detector for YoloDetector {
         let input = resized.to_tensor();
         let output = self
             .net
-            .forward_with(&self.runtime, &input)
+            .forward(&self.runtime, &input)
             .expect("yolo_tiny accepts its own input shape");
         let raw = decode_grid(&output, self.threshold);
         self.last_cost = DetCost {
@@ -528,7 +528,7 @@ mod tests {
         assert_eq!(req.input.shape().dims(), &[1, 1, 32, 32]);
         // Replay the deferred stages exactly as a batch runner would.
         let net = yolo_tiny_shared(req.grid);
-        let out = net.forward_with(&Runtime::serial(), &req.input).unwrap();
+        let out = net.forward(&Runtime::serial(), &req.input).unwrap();
         let got = nms(decode_grid(&out, req.threshold), req.iou);
         assert_eq!(got, want);
         // Staged cost matches inline except the not-yet-known raw count.

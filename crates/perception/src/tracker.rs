@@ -102,7 +102,7 @@ impl Tracker for GoturnTracker {
         let input = stack_crops(&self.prev_crop, &cur_crop);
         let out = self
             .net
-            .forward_with(&self.runtime, &input)
+            .forward(&self.runtime, &input)
             .expect("goturn_tiny accepts its input");
         let o = out.as_slice();
         // Outputs are sigmoid-normalized within the search region.

@@ -11,12 +11,14 @@
 //! # Examples
 //!
 //! ```
-//! use adsim_tensor::{Tensor, ops};
+//! use adsim_runtime::Runtime;
+//! use adsim_tensor::{ops, simd, Tensor};
 //!
 //! // A 1x1x4x4 input convolved with a single 3x3 kernel.
 //! let input = Tensor::from_fn([1, 1, 4, 4], |idx| idx[2] as f32 + idx[3] as f32);
 //! let kernel = Tensor::filled([1, 1, 3, 3], 1.0 / 9.0);
-//! let out = ops::conv2d(&input, &kernel, None, 1, 1).unwrap();
+//! let (rt, isa) = (Runtime::serial(), simd::active());
+//! let out = ops::conv2d(&rt, isa, &input, &kernel, None, 1, 1).unwrap();
 //! assert_eq!(out.shape().dims(), &[1, 1, 4, 4]);
 //! ```
 

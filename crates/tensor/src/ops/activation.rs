@@ -9,28 +9,21 @@ fn elementwise_span(len: usize, threads: usize) -> usize {
     len.div_ceil(4 * threads).max(1)
 }
 
-/// Rectified linear unit: `max(0, x)` element-wise.
+/// Rectified linear unit: `max(0, x)` element-wise, on `rt`'s workers
+/// with the `isa` lane kernels. The kernel is FMA-free, so every
+/// backend is bit-identical.
 ///
 /// # Examples
 ///
 /// ```
-/// use adsim_tensor::{ops, Tensor};
+/// use adsim_runtime::Runtime;
+/// use adsim_tensor::{ops, simd, Tensor};
 ///
 /// let t = Tensor::from_vec([3], vec![-1.0, 0.0, 2.0]).unwrap();
-/// assert_eq!(ops::relu(&t).as_slice(), &[0.0, 0.0, 2.0]);
+/// let y = ops::relu(&Runtime::serial(), simd::active(), &t);
+/// assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
 /// ```
-pub fn relu(t: &Tensor) -> Tensor {
-    relu_with(&Runtime::serial(), t)
-}
-
-/// [`relu`] on a worker pool with the host's detected SIMD backend.
-pub fn relu_with(rt: &Runtime, t: &Tensor) -> Tensor {
-    relu_isa(rt, t, simd::active())
-}
-
-/// [`relu`] on a worker pool and an explicit SIMD backend. The kernel
-/// is FMA-free, so every backend is bit-identical.
-pub fn relu_isa(rt: &Runtime, t: &Tensor, isa: Isa) -> Tensor {
+pub fn relu(rt: &Runtime, isa: Isa, t: &Tensor) -> Tensor {
     let mut out = t.clone();
     let rt = rt.for_work(out.len());
     let span = elementwise_span(out.len(), rt.threads());
@@ -39,20 +32,9 @@ pub fn relu_isa(rt: &Runtime, t: &Tensor, isa: Isa) -> Tensor {
 }
 
 /// Leaky ReLU with negative slope `alpha`, the activation YOLO uses
-/// throughout its convolutional trunk.
-pub fn leaky_relu(t: &Tensor, alpha: f32) -> Tensor {
-    leaky_relu_with(&Runtime::serial(), t, alpha)
-}
-
-/// [`leaky_relu`] on a worker pool with the host's detected SIMD
-/// backend.
-pub fn leaky_relu_with(rt: &Runtime, t: &Tensor, alpha: f32) -> Tensor {
-    leaky_relu_isa(rt, t, alpha, simd::active())
-}
-
-/// [`leaky_relu`] on a worker pool and an explicit SIMD backend. The
-/// kernel is FMA-free, so every backend is bit-identical.
-pub fn leaky_relu_isa(rt: &Runtime, t: &Tensor, alpha: f32, isa: Isa) -> Tensor {
+/// throughout its convolutional trunk. FMA-free, so every backend is
+/// bit-identical.
+pub fn leaky_relu(rt: &Runtime, isa: Isa, t: &Tensor, alpha: f32) -> Tensor {
     let mut out = t.clone();
     let rt = rt.for_work(out.len());
     let span = elementwise_span(out.len(), rt.threads());
@@ -63,36 +45,25 @@ pub fn leaky_relu_isa(rt: &Runtime, t: &Tensor, alpha: f32, isa: Isa) -> Tensor 
 }
 
 /// Logistic sigmoid, used by the detection head to squash objectness
-/// confidences into `[0, 1]`.
-pub fn sigmoid(t: &Tensor) -> Tensor {
-    t.map(|x| 1.0 / (1.0 + (-x).exp()))
-}
-
-/// [`sigmoid`] on a worker pool.
-pub fn sigmoid_with(rt: &Runtime, t: &Tensor) -> Tensor {
+/// confidences into `[0, 1]`. There is no lane kernel: every backend
+/// runs the same scalar `exp`, so `isa` only keeps the op signature
+/// uniform.
+pub fn sigmoid(rt: &Runtime, _isa: Isa, t: &Tensor) -> Tensor {
     t.map_with(rt, |x| 1.0 / (1.0 + (-x).exp()))
 }
 
-/// Hyperbolic tangent.
-pub fn tanh(t: &Tensor) -> Tensor {
-    t.map(f32::tanh)
-}
-
-/// [`tanh`] on a worker pool.
-pub fn tanh_with(rt: &Runtime, t: &Tensor) -> Tensor {
+/// Hyperbolic tangent. Scalar on every backend, like [`sigmoid`].
+pub fn tanh(rt: &Runtime, _isa: Isa, t: &Tensor) -> Tensor {
     t.map_with(rt, f32::tanh)
 }
 
 /// Softmax along the final axis, used to turn class scores into a
 /// distribution over the four object categories the paper cares about.
+/// Rows normalize independently on `rt`'s workers; scalar on every
+/// backend, like [`sigmoid`].
 ///
 /// Numerically stabilized by subtracting the row maximum.
-pub fn softmax(t: &Tensor) -> Tensor {
-    softmax_with(&Runtime::serial(), t)
-}
-
-/// [`softmax`] on a worker pool: rows normalize independently.
-pub fn softmax_with(rt: &Runtime, t: &Tensor) -> Tensor {
+pub fn softmax(rt: &Runtime, _isa: Isa, t: &Tensor) -> Tensor {
     let rank = t.shape().rank();
     let last = t.shape().dim(rank - 1);
     let mut out = t.clone();
@@ -121,19 +92,21 @@ mod tests {
     #[test]
     fn relu_clamps_negatives_only() {
         let t = Tensor::from_vec([4], vec![-5.0, -0.1, 0.1, 5.0]).unwrap();
-        assert_eq!(relu(&t).as_slice(), &[0.0, 0.0, 0.1, 5.0]);
+        let y = relu(&Runtime::serial(), simd::active(), &t);
+        assert_eq!(y.as_slice(), &[0.0, 0.0, 0.1, 5.0]);
     }
 
     #[test]
     fn leaky_relu_scales_negatives() {
         let t = Tensor::from_vec([2], vec![-10.0, 10.0]).unwrap();
-        assert_eq!(leaky_relu(&t, 0.1).as_slice(), &[-1.0, 10.0]);
+        let y = leaky_relu(&Runtime::serial(), simd::active(), &t, 0.1);
+        assert_eq!(y.as_slice(), &[-1.0, 10.0]);
     }
 
     #[test]
     fn sigmoid_range_and_symmetry() {
         let t = Tensor::from_vec([3], vec![-100.0, 0.0, 100.0]).unwrap();
-        let s = sigmoid(&t);
+        let s = sigmoid(&Runtime::serial(), simd::active(), &t);
         assert!(s.as_slice()[0] < 1e-6);
         assert!((s.as_slice()[1] - 0.5).abs() < 1e-6);
         assert!(s.as_slice()[2] > 1.0 - 1e-6);
@@ -142,14 +115,14 @@ mod tests {
     #[test]
     fn tanh_is_odd() {
         let t = Tensor::from_vec([2], vec![-1.0, 1.0]).unwrap();
-        let y = tanh(&t);
+        let y = tanh(&Runtime::serial(), simd::active(), &t);
         assert!((y.as_slice()[0] + y.as_slice()[1]).abs() < 1e-6);
     }
 
     #[test]
     fn softmax_rows_sum_to_one() {
         let t = Tensor::from_vec([2, 3], vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]).unwrap();
-        let s = softmax(&t);
+        let s = softmax(&Runtime::serial(), simd::active(), &t);
         for r in 0..2 {
             let sum: f32 = s.as_slice()[r * 3..(r + 1) * 3].iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -173,17 +146,17 @@ mod tests {
             (0..21).map(|i| (i as f32 - 10.0) * 0.3).collect(),
         )
         .unwrap();
-        let rt = Runtime::new(4);
-        assert_eq!(relu_with(&rt, &t), relu(&t));
-        assert_eq!(leaky_relu_with(&rt, &t, 0.1), leaky_relu(&t, 0.1));
-        assert_eq!(sigmoid_with(&rt, &t), sigmoid(&t));
-        assert_eq!(tanh_with(&rt, &t), tanh(&t));
+        let (par, serial, isa) = (Runtime::new(4), Runtime::serial(), simd::active());
+        assert_eq!(relu(&par, isa, &t), relu(&serial, isa, &t));
+        assert_eq!(leaky_relu(&par, isa, &t, 0.1), leaky_relu(&serial, isa, &t, 0.1));
+        assert_eq!(sigmoid(&par, isa, &t), sigmoid(&serial, isa, &t));
+        assert_eq!(tanh(&par, isa, &t), tanh(&serial, isa, &t));
     }
 
     #[test]
     fn softmax_is_stable_for_large_logits() {
         let t = Tensor::from_vec([1, 2], vec![1000.0, 1000.0]).unwrap();
-        let s = softmax(&t);
+        let s = softmax(&Runtime::serial(), simd::active(), &t);
         assert!((s.as_slice()[0] - 0.5).abs() < 1e-6);
     }
 }

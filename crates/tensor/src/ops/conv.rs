@@ -7,7 +7,7 @@ use crate::simd::{self, Isa};
 use crate::{Result, Tensor, TensorError};
 
 thread_local! {
-    /// Reusable im2col / GEMM-output scratch for [`conv2d_isa`].
+    /// Reusable im2col / GEMM-output scratch for [`conv2d`].
     ///
     /// Batched convolutions need `k·n·cols_n`-sized staging buffers that
     /// exceed the allocator's mmap threshold, so allocating them fresh
@@ -36,6 +36,23 @@ fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 /// * `bias`: optional `[c_out]`
 /// * output: `[n, c_out, h_out, w_out]`
 ///
+/// Batches are **column-appended**: every image's im2col columns land
+/// in one `[k, n·h_out·w_out]` matrix (image `b` owning the column
+/// band `b·cols_n..(b+1)·cols_n`) and a single
+/// `[c_out, k] × [k, n·cols_n]` GEMM covers the whole batch, so the
+/// weight matrix streams through the cache **once per batch** instead
+/// of once per image — the weight-traffic amortization the fleet's
+/// cross-vehicle batched inference is built on. The GEMM runs on the
+/// `isa` lane microkernels (im2col itself stays scalar — it is a pure
+/// memory permutation) and parallelizes over output-row blocks of the
+/// combined matrix on `rt`'s workers, so wider batches also mean
+/// better core utilization at small `c_out`.
+///
+/// Because an output element's k-accumulation order is fixed and the
+/// lane kernels are column-position-invariant (see `simd`), the result
+/// for image `b` in a batch of any size is **bit-identical** to
+/// running that image alone — and identical on every thread count.
+///
 /// # Errors
 ///
 /// Returns an error if ranks differ from 4/1, the channel counts
@@ -45,71 +62,23 @@ fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 /// # Examples
 ///
 /// ```
-/// use adsim_tensor::{ops, Tensor};
+/// use adsim_runtime::Runtime;
+/// use adsim_tensor::{ops, simd, Tensor};
 ///
 /// let input = Tensor::filled([1, 1, 3, 3], 1.0);
 /// let weight = Tensor::filled([1, 1, 3, 3], 1.0);
-/// let out = ops::conv2d(&input, &weight, None, 1, 0).unwrap();
+/// let (rt, isa) = (Runtime::serial(), simd::active());
+/// let out = ops::conv2d(&rt, isa, &input, &weight, None, 1, 0).unwrap();
 /// assert_eq!(out.as_slice(), &[9.0]);
 /// ```
 pub fn conv2d(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    stride: usize,
-    pad: usize,
-) -> Result<Tensor> {
-    conv2d_with(&Runtime::serial(), input, weight, bias, stride, pad)
-}
-
-/// [`conv2d`] on a worker pool with the host's detected SIMD backend.
-/// Equivalent to [`conv2d_isa`] with [`simd::active`].
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d`].
-pub fn conv2d_with(
     rt: &Runtime,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    stride: usize,
-    pad: usize,
-) -> Result<Tensor> {
-    conv2d_isa(rt, input, weight, bias, stride, pad, simd::active())
-}
-
-/// [`conv2d`] on a worker pool and an explicit SIMD backend.
-///
-/// Batches are **column-appended**: every image's im2col columns land
-/// in one `[k, n·h_out·w_out]` matrix (image `b` owning the column
-/// band `b·cols_n..(b+1)·cols_n`) and a single
-/// `[c_out, k] × [k, n·cols_n]` GEMM covers the whole batch, so the
-/// weight matrix streams through the cache **once per batch** instead
-/// of once per image — the weight-traffic amortization the fleet's
-/// cross-vehicle batched inference is built on. The GEMM runs on the
-/// `simd` lane microkernels (im2col itself stays scalar — it is a pure
-/// memory permutation) and parallelizes over output-row blocks of the
-/// combined matrix, so wider batches also mean better core utilization
-/// at small `c_out`.
-///
-/// Because an output element's k-accumulation order is fixed and the
-/// lane kernels are column-position-invariant (see `simd`), the result
-/// for image `b` in a batch of any size is **bit-identical** to
-/// running that image alone — and identical on every thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_isa(
-    rt: &Runtime,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    stride: usize,
-    pad: usize,
     isa: Isa,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    stride: usize,
+    pad: usize,
 ) -> Result<Tensor> {
     let (n, c_in, h, w) = input.shape().as_nchw()?;
     let (c_out, wc_in, kh, kw) = weight.shape().as_nchw()?;
@@ -384,10 +353,11 @@ mod tests {
 
     #[test]
     fn identity_kernel_preserves_input() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let input = seq_tensor([1, 1, 5, 5]);
         let mut weight = Tensor::zeros([1, 1, 3, 3]);
         *weight.at_mut(&[0, 0, 1, 1]) = 1.0;
-        let out = conv2d(&input, &weight, None, 1, 1).unwrap();
+        let out = conv2d(&rt, isa, &input, &weight, None, 1, 1).unwrap();
         assert_eq!(out.shape(), input.shape());
         for y in 0..5 {
             for x in 0..5 {
@@ -398,11 +368,12 @@ mod tests {
 
     #[test]
     fn im2col_matches_direct_convolution() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let input = seq_tensor([2, 3, 7, 6]);
         let weight = seq_tensor([4, 3, 3, 3]);
         let bias = Tensor::from_vec([4], vec![0.1, -0.2, 0.3, 0.0]).unwrap();
         for (stride, pad) in [(1, 0), (1, 1), (2, 1), (2, 0)] {
-            let fast = conv2d(&input, &weight, Some(&bias), stride, pad).unwrap();
+            let fast = conv2d(&rt, isa, &input, &weight, Some(&bias), stride, pad).unwrap();
             let slow = conv2d_direct(&input, &weight, Some(&bias), stride, pad).unwrap();
             assert_eq!(fast.shape(), slow.shape());
             // Relative tolerance: the im2col GEMM may use FMA while
@@ -418,43 +389,48 @@ mod tests {
 
     #[test]
     fn stride_two_halves_output() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let input = Tensor::filled([1, 1, 8, 8], 1.0);
         let weight = Tensor::filled([1, 1, 2, 2], 1.0);
-        let out = conv2d(&input, &weight, None, 2, 0).unwrap();
+        let out = conv2d(&rt, isa, &input, &weight, None, 2, 0).unwrap();
         assert_eq!(out.shape().dims(), &[1, 1, 4, 4]);
         assert!(out.iter().all(|&v| (v - 4.0).abs() < 1e-6));
     }
 
     #[test]
     fn bias_adds_per_channel() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let input = Tensor::filled([1, 1, 2, 2], 0.0);
         let weight = Tensor::zeros([2, 1, 1, 1]);
         let bias = Tensor::from_vec([2], vec![1.5, -2.5]).unwrap();
-        let out = conv2d(&input, &weight, Some(&bias), 1, 0).unwrap();
+        let out = conv2d(&rt, isa, &input, &weight, Some(&bias), 1, 0).unwrap();
         assert!(out.as_slice()[..4].iter().all(|&v| v == 1.5));
         assert!(out.as_slice()[4..].iter().all(|&v| v == -2.5));
     }
 
     #[test]
     fn channel_mismatch_is_rejected() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let input = Tensor::zeros([1, 2, 4, 4]);
         let weight = Tensor::zeros([1, 3, 3, 3]);
-        assert!(conv2d(&input, &weight, None, 1, 0).is_err());
+        assert!(conv2d(&rt, isa, &input, &weight, None, 1, 0).is_err());
     }
 
     #[test]
     fn oversized_kernel_is_rejected() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let input = Tensor::zeros([1, 1, 2, 2]);
         let weight = Tensor::zeros([1, 1, 3, 3]);
-        assert!(conv2d(&input, &weight, None, 1, 0).is_err());
+        assert!(conv2d(&rt, isa, &input, &weight, None, 1, 0).is_err());
     }
 
     #[test]
     fn bad_bias_is_rejected() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let input = Tensor::zeros([1, 1, 4, 4]);
         let weight = Tensor::zeros([2, 1, 1, 1]);
         let bias = Tensor::zeros([3]);
-        assert!(conv2d(&input, &weight, Some(&bias), 1, 0).is_err());
+        assert!(conv2d(&rt, isa, &input, &weight, Some(&bias), 1, 0).is_err());
     }
 
     #[test]

@@ -29,7 +29,12 @@ fn col_panel(k: usize, elem: usize) -> usize {
 /// This is the compute core of both the fully-connected layers and the
 /// im2col convolution lowering — the operation the paper notes consumes
 /// most machine-learning execution time and parallelizes onto GPUs (§6).
-/// Runs serially; [`matmul_with`] is the multicore entry point.
+/// Output row blocks are partitioned across `rt`'s workers, and each
+/// block runs a register-blocked `MR = 4` `isa` lane microkernel over
+/// `KC`-row panels of B. Per output element the k-accumulation order
+/// is identical on every thread count, so results do not depend on the
+/// runtime; vector backends contract multiply-add pairs into FMAs, so
+/// results agree with [`Isa::SCALAR`] to ≤1e-5 relative error.
 ///
 /// # Errors
 ///
@@ -39,39 +44,16 @@ fn col_panel(k: usize, elem: usize) -> usize {
 /// # Examples
 ///
 /// ```
-/// use adsim_tensor::{ops, Tensor};
+/// use adsim_runtime::Runtime;
+/// use adsim_tensor::{ops, simd, Tensor};
 ///
 /// let a = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0])?;
 /// let b = Tensor::from_vec([2, 1], vec![1.0, 1.0])?;
-/// assert_eq!(ops::matmul(&a, &b)?.as_slice(), &[3.0, 7.0]);
+/// let c = ops::matmul(&Runtime::serial(), simd::active(), &a, &b)?;
+/// assert_eq!(c.as_slice(), &[3.0, 7.0]);
 /// # Ok::<(), adsim_tensor::TensorError>(())
 /// ```
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_with(&Runtime::serial(), a, b)
-}
-
-/// [`matmul`] on a worker pool with the host's detected SIMD backend.
-/// Equivalent to [`matmul_isa`] with [`simd::active`].
-///
-/// # Errors
-///
-/// Same conditions as [`matmul`].
-pub fn matmul_with(rt: &Runtime, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_isa(rt, a, b, simd::active())
-}
-
-/// [`matmul`] on a worker pool and an explicit SIMD backend: output
-/// row blocks are partitioned across the runtime's workers, and each
-/// block runs a register-blocked `MR = 4` lane microkernel over
-/// `KC`-row panels of B. Per output element the k-accumulation order
-/// is identical on every thread count, so results do not depend on the
-/// runtime; vector backends contract multiply-add pairs into FMAs, so
-/// results agree with [`Isa::SCALAR`] to ≤1e-5 relative error.
-///
-/// # Errors
-///
-/// Same conditions as [`matmul`].
-pub fn matmul_isa(rt: &Runtime, a: &Tensor, b: &Tensor, isa: Isa) -> Result<Tensor> {
+pub fn matmul(rt: &Runtime, isa: Isa, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if a.shape().rank() != 2 {
         return Err(TensorError::RankMismatch {
             op: "matmul",
@@ -440,7 +422,11 @@ pub fn matmul_i8_packed_into(
 /// * `weight`: `[out_features, in_features]` (row per output neuron)
 /// * `bias`: optional `[out_features]`
 ///
-/// Runs serially; [`linear_with`] is the multicore entry point.
+/// Large batches partition across batch rows of `rt`'s workers; the
+/// inference-common `batch = 1` case partitions across contiguous spans
+/// of output features, so the GOTURN-style regression head still uses
+/// every core. Each output is one [`simd::dot`] over the input row and
+/// a weight row (scalar backend: strictly sequential accumulation).
 ///
 /// # Errors
 ///
@@ -449,49 +435,21 @@ pub fn matmul_i8_packed_into(
 /// # Examples
 ///
 /// ```
-/// use adsim_tensor::{ops, Tensor};
+/// use adsim_runtime::Runtime;
+/// use adsim_tensor::{ops, simd, Tensor};
 ///
 /// let x = Tensor::from_vec([1, 3], vec![1.0, 2.0, 3.0])?;
 /// let w = Tensor::from_vec([2, 3], vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0])?;
-/// let y = ops::linear(&x, &w, None)?;
+/// let y = ops::linear(&Runtime::serial(), simd::active(), &x, &w, None)?;
 /// assert_eq!(y.as_slice(), &[1.0, 3.0]);
 /// # Ok::<(), adsim_tensor::TensorError>(())
 /// ```
-pub fn linear(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
-    linear_with(&Runtime::serial(), input, weight, bias)
-}
-
-/// [`linear`] on a worker pool with the host's detected SIMD backend.
-/// Equivalent to [`linear_isa`] with [`simd::active`].
-///
-/// # Errors
-///
-/// Same conditions as [`linear`].
-pub fn linear_with(
+pub fn linear(
     rt: &Runtime,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-) -> Result<Tensor> {
-    linear_isa(rt, input, weight, bias, simd::active())
-}
-
-/// [`linear`] on a worker pool and an explicit SIMD backend. Large
-/// batches partition across batch rows; the inference-common
-/// `batch = 1` case partitions across contiguous spans of output
-/// features, so the GOTURN-style regression head still uses every
-/// core. Each output is one [`simd::dot`] over the input row and a
-/// weight row (scalar backend: strictly sequential accumulation).
-///
-/// # Errors
-///
-/// Same conditions as [`linear`].
-pub fn linear_isa(
-    rt: &Runtime,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
     isa: Isa,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
 ) -> Result<Tensor> {
     if input.shape().rank() != 2 {
         return Err(TensorError::RankMismatch {
@@ -565,39 +523,43 @@ mod tests {
 
     #[test]
     fn matmul_identity() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let a = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let id = Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        assert_eq!(matmul(&a, &id).unwrap(), a);
-        assert_eq!(matmul(&id, &a).unwrap(), a);
+        assert_eq!(matmul(&rt, isa, &a, &id).unwrap(), a);
+        assert_eq!(matmul(&rt, isa, &id, &a).unwrap(), a);
     }
 
     #[test]
     fn matmul_known_product() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let a = Tensor::from_vec([2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let b = Tensor::from_vec([3, 2], vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]).unwrap();
-        let c = matmul(&a, &b).unwrap();
+        let c = matmul(&rt, isa, &a, &b).unwrap();
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
     fn matmul_rejects_bad_shapes() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([2, 3]);
-        assert!(matmul(&a, &b).is_err());
+        assert!(matmul(&rt, isa, &a, &b).is_err());
         let v = Tensor::zeros([3]);
-        assert!(matmul(&v, &b).is_err());
+        assert!(matmul(&rt, isa, &v, &b).is_err());
     }
 
     #[test]
     fn linear_matches_matmul_with_transpose() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let x = Tensor::from_vec([2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let w = Tensor::from_vec([2, 3], vec![0.5, -1.0, 2.0, 1.0, 1.0, 1.0]).unwrap();
-        let y = linear(&x, &w, None).unwrap();
+        let y = linear(&rt, isa, &x, &w, None).unwrap();
         // Manual transpose of w for comparison via matmul. The two
         // paths use different microkernels (dot vs GEMM), which may
         // round differently under FMA backends — compare to tolerance.
         let wt = Tensor::from_vec([3, 2], vec![0.5, 1.0, -1.0, 1.0, 2.0, 1.0]).unwrap();
-        let expect = matmul(&x, &wt).unwrap();
+        let expect = matmul(&rt, isa, &x, &wt).unwrap();
         for (a, b) in y.iter().zip(expect.iter()) {
             assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "{a} vs {b}");
         }
@@ -605,23 +567,26 @@ mod tests {
 
     #[test]
     fn linear_applies_bias() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let x = Tensor::zeros([1, 4]);
         let w = Tensor::zeros([2, 4]);
         let b = Tensor::from_vec([2], vec![3.0, -3.0]).unwrap();
-        let y = linear(&x, &w, Some(&b)).unwrap();
+        let y = linear(&rt, isa, &x, &w, Some(&b)).unwrap();
         assert_eq!(y.as_slice(), &[3.0, -3.0]);
     }
 
     #[test]
     fn linear_rejects_mismatched_bias() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let x = Tensor::zeros([1, 4]);
         let w = Tensor::zeros([2, 4]);
         let b = Tensor::zeros([3]);
-        assert!(linear(&x, &w, Some(&b)).is_err());
+        assert!(linear(&rt, isa, &x, &w, Some(&b)).is_err());
     }
 
     #[test]
     fn parallel_matmul_matches_serial() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         // Non-multiple-of-MR row count exercises the remainder kernel.
         let a = Tensor::from_vec(
             [7, 9],
@@ -633,9 +598,9 @@ mod tests {
             (0..45).map(|i| (i as f32 * 0.61).cos()).collect(),
         )
         .unwrap();
-        let serial = matmul(&a, &b).unwrap();
+        let serial = matmul(&rt, isa, &a, &b).unwrap();
         for threads in [2, 3, 8] {
-            let par = matmul_with(&Runtime::new(threads), &a, &b).unwrap();
+            let par = matmul(&Runtime::new(threads), isa, &a, &b).unwrap();
             for (x, y) in par.iter().zip(serial.iter()) {
                 assert!((x - y).abs() < 1e-5, "threads={threads}");
             }
@@ -644,6 +609,7 @@ mod tests {
 
     #[test]
     fn parallel_linear_matches_serial_for_single_batch() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let x = Tensor::from_vec([1, 33], (0..33).map(|i| i as f32 * 0.1).collect()).unwrap();
         let w = Tensor::from_vec(
             [17, 33],
@@ -651,8 +617,8 @@ mod tests {
         )
         .unwrap();
         let b = Tensor::from_vec([17], (0..17).map(|i| i as f32).collect()).unwrap();
-        let serial = linear(&x, &w, Some(&b)).unwrap();
-        let par = linear_with(&Runtime::new(4), &x, &w, Some(&b)).unwrap();
+        let serial = linear(&rt, isa, &x, &w, Some(&b)).unwrap();
+        let par = linear(&Runtime::new(4), isa, &x, &w, Some(&b)).unwrap();
         for (p, s) in par.iter().zip(serial.iter()) {
             assert!((p - s).abs() < 1e-5);
         }

@@ -4,6 +4,15 @@
 //! GOTURN-like tracking network (paper §3.1.1–3.1.2, §4.2.2): 2-D
 //! convolution, max-pooling, activations, fully-connected layers,
 //! softmax and inference-time batch normalization.
+//!
+//! Every op has exactly one entry point, and it takes the worker pool
+//! and the SIMD backend explicitly: `op(rt, isa, ...)`. Pass
+//! [`Runtime::serial()`](adsim_runtime::Runtime::serial) to run on the
+//! calling thread and [`simd::active()`](crate::simd::active) for the
+//! host's fastest backend. Results never depend on `rt`: every op is
+//! bit-identical at any thread count. Across backends, FMA-free kernels
+//! (pooling, batch norm, ReLU) are bit-identical and the GEMM family
+//! (`matmul`, `conv2d`, `linear`) agrees to ≤1e-5 relative error.
 
 mod activation;
 mod conv;
@@ -11,19 +20,14 @@ mod linear;
 mod norm;
 mod pool;
 
-pub use activation::{
-    leaky_relu, leaky_relu_isa, leaky_relu_with, relu, relu_isa, relu_with, sigmoid, sigmoid_with,
-    softmax, softmax_with, tanh, tanh_with,
-};
-pub use conv::{conv2d, conv2d_direct, conv2d_isa, conv2d_with, im2col, im2col_batched};
+pub use activation::{leaky_relu, relu, sigmoid, softmax, tanh};
+pub use conv::{conv2d, conv2d_direct, im2col, im2col_batched};
 pub use linear::{
-    linear, linear_isa, linear_with, matmul, matmul_i8_into, matmul_i8_packed_into, matmul_isa,
-    matmul_with, pack_i8_b, packed_i8_len, MATMUL_I8_MAX_K,
+    linear, matmul, matmul_i8_into, matmul_i8_packed_into, pack_i8_b, packed_i8_len,
+    MATMUL_I8_MAX_K,
 };
-pub use norm::{batch_norm, batch_norm_isa, batch_norm_with};
-pub use pool::{
-    avg_pool2d, avg_pool2d_isa, avg_pool2d_with, max_pool2d, max_pool2d_isa, max_pool2d_with,
-};
+pub use norm::batch_norm;
+pub use pool::{avg_pool2d, max_pool2d};
 
 /// Output spatial size of a convolution/pooling window sweep.
 ///

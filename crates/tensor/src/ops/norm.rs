@@ -9,7 +9,10 @@ use crate::{Result, Tensor, TensorError};
 /// per channel, using the folded statistics a trained network would
 /// carry. YOLOv2 batch-normalizes every convolutional layer.
 ///
-/// Runs serially; [`batch_norm_with`] is the multicore entry point.
+/// Each `n × c` plane is one task on `rt`'s workers, folded to
+/// `x·scale + shift` with the channel's statistics. The `isa` plane
+/// kernel keeps multiply and add as separate roundings (no FMA), so
+/// every backend is bit-identical.
 ///
 /// # Errors
 ///
@@ -19,63 +22,28 @@ use crate::{Result, Tensor, TensorError};
 /// # Examples
 ///
 /// ```
-/// use adsim_tensor::{ops, Tensor};
+/// use adsim_runtime::Runtime;
+/// use adsim_tensor::{ops, simd, Tensor};
 ///
 /// let x = Tensor::filled([1, 1, 2, 2], 3.0);
 /// let gamma = Tensor::filled([1], 2.0);
 /// let beta = Tensor::filled([1], 1.0);
 /// let mean = Tensor::filled([1], 3.0);
 /// let var = Tensor::filled([1], 1.0);
-/// let y = ops::batch_norm(&x, &gamma, &beta, &mean, &var, 0.0).unwrap();
+/// let (rt, isa) = (Runtime::serial(), simd::active());
+/// let y = ops::batch_norm(&rt, isa, &x, &gamma, &beta, &mean, &var, 0.0).unwrap();
 /// assert!(y.iter().all(|&v| (v - 1.0).abs() < 1e-6));
 /// ```
-pub fn batch_norm(
-    input: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    mean: &Tensor,
-    var: &Tensor,
-    eps: f32,
-) -> Result<Tensor> {
-    batch_norm_with(&Runtime::serial(), input, gamma, beta, mean, var, eps)
-}
-
-/// [`batch_norm`] on a worker pool with the host's detected SIMD
-/// backend. Equivalent to [`batch_norm_isa`] with [`simd::active`].
-///
-/// # Errors
-///
-/// Same conditions as [`batch_norm`].
-pub fn batch_norm_with(
-    rt: &Runtime,
-    input: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    mean: &Tensor,
-    var: &Tensor,
-    eps: f32,
-) -> Result<Tensor> {
-    batch_norm_isa(rt, input, gamma, beta, mean, var, eps, simd::active())
-}
-
-/// [`batch_norm`] on a worker pool and an explicit SIMD backend: each
-/// `n × c` plane is one task, folded to `x·scale + shift` with the
-/// channel's statistics. The plane kernel keeps multiply and add as
-/// separate roundings (no FMA), so every backend is bit-identical.
-///
-/// # Errors
-///
-/// Same conditions as [`batch_norm`].
 #[allow(clippy::too_many_arguments)]
-pub fn batch_norm_isa(
+pub fn batch_norm(
     rt: &Runtime,
+    isa: Isa,
     input: &Tensor,
     gamma: &Tensor,
     beta: &Tensor,
     mean: &Tensor,
     var: &Tensor,
     eps: f32,
-    isa: Isa,
 ) -> Result<Tensor> {
     let (_, c, h, w) = input.shape().as_nchw()?;
     for (name, t) in [("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)] {
@@ -107,44 +75,48 @@ mod tests {
 
     #[test]
     fn normalizes_to_zero_mean_unit_variance() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         // Channel with mean 10, var 4 -> values +-1 after normalization.
         let x = Tensor::from_vec([1, 1, 1, 2], vec![8.0, 12.0]).unwrap();
         let gamma = Tensor::filled([1], 1.0);
         let beta = Tensor::filled([1], 0.0);
         let mean = Tensor::filled([1], 10.0);
         let var = Tensor::filled([1], 4.0);
-        let y = batch_norm(&x, &gamma, &beta, &mean, &var, 0.0).unwrap();
+        let y = batch_norm(&rt, isa, &x, &gamma, &beta, &mean, &var, 0.0).unwrap();
         assert!((y.as_slice()[0] + 1.0).abs() < 1e-6);
         assert!((y.as_slice()[1] - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn per_channel_parameters_are_independent() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let x = Tensor::filled([1, 2, 1, 1], 1.0);
         let gamma = Tensor::from_vec([2], vec![1.0, 10.0]).unwrap();
         let beta = Tensor::from_vec([2], vec![0.0, 5.0]).unwrap();
         let mean = Tensor::zeros([2]);
         let var = Tensor::filled([2], 1.0);
-        let y = batch_norm(&x, &gamma, &beta, &mean, &var, 0.0).unwrap();
+        let y = batch_norm(&rt, isa, &x, &gamma, &beta, &mean, &var, 0.0).unwrap();
         assert!((y.as_slice()[0] - 1.0).abs() < 1e-6);
         assert!((y.as_slice()[1] - 15.0).abs() < 1e-6);
     }
 
     #[test]
     fn rejects_mismatched_parameters() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let x = Tensor::zeros([1, 3, 2, 2]);
         let ok = Tensor::zeros([3]);
         let bad = Tensor::zeros([2]);
-        assert!(batch_norm(&x, &bad, &ok, &ok, &ok, 1e-5).is_err());
-        assert!(batch_norm(&x, &ok, &ok, &ok, &bad, 1e-5).is_err());
+        assert!(batch_norm(&rt, isa, &x, &bad, &ok, &ok, &ok, 1e-5).is_err());
+        assert!(batch_norm(&rt, isa, &x, &ok, &ok, &ok, &bad, 1e-5).is_err());
     }
 
     #[test]
     fn eps_guards_zero_variance() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let x = Tensor::filled([1, 1, 1, 1], 5.0);
         let ones = Tensor::filled([1], 1.0);
         let zeros = Tensor::zeros([1]);
-        let y = batch_norm(&x, &ones, &zeros, &zeros, &zeros, 1e-5).unwrap();
+        let y = batch_norm(&rt, isa, &x, &ones, &zeros, &zeros, &zeros, 1e-5).unwrap();
         assert!(y.as_slice()[0].is_finite());
     }
 }

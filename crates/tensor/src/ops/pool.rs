@@ -4,10 +4,12 @@ use adsim_runtime::Runtime;
 use crate::simd::{self, Isa};
 use crate::{Result, Tensor, TensorError};
 
-/// 2-D max pooling over an NCHW tensor.
+/// 2-D max pooling over an NCHW tensor; each `n × c` plane is one
+/// task on `rt`'s workers.
 ///
 /// YOLO's trunk interleaves these with convolutions to halve spatial
-/// resolution (Fig. 3 of the paper).
+/// resolution (Fig. 3 of the paper). The `isa` kernel is FMA-free, so
+/// every backend is bit-identical.
 ///
 /// # Errors
 ///
@@ -17,81 +19,35 @@ use crate::{Result, Tensor, TensorError};
 /// # Examples
 ///
 /// ```
-/// use adsim_tensor::{ops, Tensor};
+/// use adsim_runtime::Runtime;
+/// use adsim_tensor::{ops, simd, Tensor};
 ///
 /// let t = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-/// let out = ops::max_pool2d(&t, 2, 2).unwrap();
+/// let out = ops::max_pool2d(&Runtime::serial(), simd::active(), &t, 2, 2).unwrap();
 /// assert_eq!(out.as_slice(), &[4.0]);
 /// ```
-pub fn max_pool2d(input: &Tensor, window: usize, stride: usize) -> Result<Tensor> {
-    max_pool2d_isa(&Runtime::serial(), input, window, stride, simd::active())
-}
-
-/// [`max_pool2d`] on a worker pool: each `n × c` plane is one task.
-///
-/// # Errors
-///
-/// Same conditions as [`max_pool2d`].
-pub fn max_pool2d_with(
+pub fn max_pool2d(
     rt: &Runtime,
-    input: &Tensor,
-    window: usize,
-    stride: usize,
-) -> Result<Tensor> {
-    max_pool2d_isa(rt, input, window, stride, simd::active())
-}
-
-/// [`max_pool2d`] on a worker pool and an explicit SIMD backend. The
-/// kernel is FMA-free, so every backend is bit-identical.
-///
-/// # Errors
-///
-/// Same conditions as [`max_pool2d`].
-pub fn max_pool2d_isa(
-    rt: &Runtime,
-    input: &Tensor,
-    window: usize,
-    stride: usize,
     isa: Isa,
+    input: &Tensor,
+    window: usize,
+    stride: usize,
 ) -> Result<Tensor> {
     pool2d(rt, input, window, stride, PoolKind::Max, isa)
 }
 
-/// 2-D average pooling over an NCHW tensor.
+/// 2-D average pooling over an NCHW tensor, scheduled like
+/// [`max_pool2d`] and likewise bit-identical on every backend.
 ///
 /// # Errors
 ///
 /// Same conditions as [`max_pool2d`].
-pub fn avg_pool2d(input: &Tensor, window: usize, stride: usize) -> Result<Tensor> {
-    avg_pool2d_isa(&Runtime::serial(), input, window, stride, simd::active())
-}
-
-/// [`avg_pool2d`] on a worker pool.
-///
-/// # Errors
-///
-/// Same conditions as [`avg_pool2d`].
-pub fn avg_pool2d_with(
+pub fn avg_pool2d(
     rt: &Runtime,
-    input: &Tensor,
-    window: usize,
-    stride: usize,
-) -> Result<Tensor> {
-    avg_pool2d_isa(rt, input, window, stride, simd::active())
-}
-
-/// [`avg_pool2d`] on a worker pool and an explicit SIMD backend. The
-/// kernel is FMA-free, so every backend is bit-identical.
-///
-/// # Errors
-///
-/// Same conditions as [`avg_pool2d`].
-pub fn avg_pool2d_isa(
-    rt: &Runtime,
-    input: &Tensor,
-    window: usize,
-    stride: usize,
     isa: Isa,
+    input: &Tensor,
+    window: usize,
+    stride: usize,
 ) -> Result<Tensor> {
     pool2d(rt, input, window, stride, PoolKind::Avg, isa)
 }
@@ -195,6 +151,7 @@ mod tests {
 
     #[test]
     fn max_pool_picks_window_maxima() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let t = Tensor::from_vec(
             [1, 1, 4, 4],
             vec![
@@ -205,48 +162,59 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = max_pool2d(&t, 2, 2).unwrap();
+        let out = max_pool2d(&rt, isa, &t, 2, 2).unwrap();
         assert_eq!(out.as_slice(), &[4.0, 8.0, -1.0, 9.0]);
     }
 
     #[test]
     fn avg_pool_averages() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let t = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let out = avg_pool2d(&t, 2, 2).unwrap();
+        let out = avg_pool2d(&rt, isa, &t, 2, 2).unwrap();
         assert_eq!(out.as_slice(), &[2.5]);
     }
 
     #[test]
     fn overlapping_windows_with_stride_one() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let t = Tensor::from_vec([1, 1, 3, 3], (1..=9).map(|i| i as f32).collect()).unwrap();
-        let out = max_pool2d(&t, 2, 1).unwrap();
+        let out = max_pool2d(&rt, isa, &t, 2, 1).unwrap();
         assert_eq!(out.shape().dims(), &[1, 1, 2, 2]);
         assert_eq!(out.as_slice(), &[5.0, 6.0, 8.0, 9.0]);
     }
 
     #[test]
     fn pooling_preserves_batch_and_channels() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let t = Tensor::filled([2, 3, 4, 4], 1.0);
-        let out = max_pool2d(&t, 2, 2).unwrap();
+        let out = max_pool2d(&rt, isa, &t, 2, 2).unwrap();
         assert_eq!(out.shape().dims(), &[2, 3, 2, 2]);
     }
 
     #[test]
     fn parallel_pooling_matches_serial() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let t = Tensor::from_vec(
             [2, 3, 6, 6],
             (0..2 * 3 * 36).map(|i| ((i * 7) % 23) as f32 - 11.0).collect(),
         )
         .unwrap();
-        let rt = Runtime::new(4);
-        assert_eq!(max_pool2d_with(&rt, &t, 2, 2).unwrap(), max_pool2d(&t, 2, 2).unwrap());
-        assert_eq!(avg_pool2d_with(&rt, &t, 3, 1).unwrap(), avg_pool2d(&t, 3, 1).unwrap());
+        let par = Runtime::new(4);
+        assert_eq!(
+            max_pool2d(&par, isa, &t, 2, 2).unwrap(),
+            max_pool2d(&rt, isa, &t, 2, 2).unwrap()
+        );
+        assert_eq!(
+            avg_pool2d(&par, isa, &t, 3, 1).unwrap(),
+            avg_pool2d(&rt, isa, &t, 3, 1).unwrap()
+        );
     }
 
     #[test]
     fn too_large_window_is_rejected() {
+        let (rt, isa) = (Runtime::serial(), simd::active());
         let t = Tensor::zeros([1, 1, 2, 2]);
-        assert!(max_pool2d(&t, 3, 1).is_err());
-        assert!(max_pool2d(&t, 2, 0).is_err());
+        assert!(max_pool2d(&rt, isa, &t, 3, 1).is_err());
+        assert!(max_pool2d(&rt, isa, &t, 2, 0).is_err());
     }
 }

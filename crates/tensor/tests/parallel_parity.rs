@@ -1,13 +1,13 @@
 //! Parity of the parallel kernels with their serial references.
 //!
-//! The worker-pool kernels (`matmul_with`, `conv2d_with`, …) must
-//! produce the same numbers on every thread count — the runtime decides
+//! Every kernel (`matmul`, `conv2d`, …) must produce the same numbers
+//! on every thread count — the runtime decides
 //! *where* work runs, never *what* is computed. Each case here compares
-//! 1-, 2- and many-thread runs against the serial kernel and, for
+//! 1-, 2- and many-thread runs against a serial run and, for
 //! convolution, against the direct sextuple-loop reference.
 
 use adsim_runtime::Runtime;
-use adsim_tensor::{ops, Tensor};
+use adsim_tensor::{ops, simd, Tensor};
 
 const TOL: f32 = 1e-5;
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -37,6 +37,7 @@ fn assert_close(a: &Tensor, b: &Tensor, ctx: &str) {
 
 #[test]
 fn matmul_parity_over_shapes_and_threads() {
+    let isa = simd::active();
     // Mixes of tiny, non-multiple-of-4, skinny and square shapes.
     let shapes = [
         (1usize, 1usize, 1usize),
@@ -50,9 +51,9 @@ fn matmul_parity_over_shapes_and_threads() {
     for (m, k, n) in shapes {
         let a = fill([m, k]);
         let b = fill([k, n]);
-        let serial = ops::matmul(&a, &b).unwrap();
+        let serial = ops::matmul(&Runtime::serial(), isa, &a, &b).unwrap();
         for t in THREADS {
-            let par = ops::matmul_with(&Runtime::new(t), &a, &b).unwrap();
+            let par = ops::matmul(&Runtime::new(t), isa, &a, &b).unwrap();
             assert_close(&par, &serial, &format!("matmul {m}x{k}x{n} threads={t}"));
         }
     }
@@ -60,14 +61,15 @@ fn matmul_parity_over_shapes_and_threads() {
 
 #[test]
 fn matmul_parity_on_degenerate_shapes() {
+    let isa = simd::active();
     // `Shape` rejects zero extents, so the smallest legal operands are
     // single-element; every dimension takes a turn at 1.
     for (m, k, n) in [(1usize, 3usize, 4usize), (3, 1, 4), (3, 4, 1), (1, 1, 1)] {
         let a = fill([m, k]);
         let b = fill([k, n]);
-        let serial = ops::matmul(&a, &b).unwrap();
+        let serial = ops::matmul(&Runtime::serial(), isa, &a, &b).unwrap();
         for t in THREADS {
-            let par = ops::matmul_with(&Runtime::new(t), &a, &b).unwrap();
+            let par = ops::matmul(&Runtime::new(t), isa, &a, &b).unwrap();
             assert_eq!(par, serial, "degenerate matmul {m}x{k}x{n} threads={t}");
         }
     }
@@ -75,6 +77,7 @@ fn matmul_parity_on_degenerate_shapes() {
 
 #[test]
 fn conv2d_parity_over_geometry_grid() {
+    let isa = simd::active();
     // (n, c_in, h, w, c_out, kernel, stride, pad) — covers batch
     // parallelism, channel-tile parallelism, strides and padding.
     let cases = [
@@ -92,12 +95,13 @@ fn conv2d_parity_over_geometry_grid() {
         let bias = fill([c_out]);
         let ctx = format!("conv {n}x{c_in}x{h}x{w} k{kk} s{stride} p{pad}");
         let direct = ops::conv2d_direct(&input, &weight, Some(&bias), stride, pad).unwrap();
-        let serial = ops::conv2d(&input, &weight, Some(&bias), stride, pad).unwrap();
+        let serial =
+            ops::conv2d(&Runtime::serial(), isa, &input, &weight, Some(&bias), stride, pad)
+                .unwrap();
         assert_close(&serial, &direct, &format!("{ctx} serial-vs-direct"));
         for t in THREADS {
-            let par =
-                ops::conv2d_with(&Runtime::new(t), &input, &weight, Some(&bias), stride, pad)
-                    .unwrap();
+            let par = ops::conv2d(&Runtime::new(t), isa, &input, &weight, Some(&bias), stride, pad)
+                .unwrap();
             assert_close(&par, &serial, &format!("{ctx} threads={t}"));
             assert_close(&par, &direct, &format!("{ctx} threads={t} vs direct"));
         }
@@ -106,20 +110,21 @@ fn conv2d_parity_over_geometry_grid() {
 
 #[test]
 fn conv2d_parity_without_bias_and_degenerate_batch() {
+    let isa = simd::active();
     let input = fill([1, 2, 4, 4]);
     let weight = fill([3, 2, 2, 2]);
-    let serial = ops::conv2d(&input, &weight, None, 1, 0).unwrap();
+    let serial = ops::conv2d(&Runtime::serial(), isa, &input, &weight, None, 1, 0).unwrap();
     for t in THREADS {
-        let par = ops::conv2d_with(&Runtime::new(t), &input, &weight, None, 1, 0).unwrap();
+        let par = ops::conv2d(&Runtime::new(t), isa, &input, &weight, None, 1, 0).unwrap();
         assert_close(&par, &serial, &format!("no-bias conv threads={t}"));
     }
     // Minimal geometry: 1x1 kernel over a 1x1 image, single channel.
     let tiny_in = fill([1, 1, 1, 1]);
     let tiny_w = fill([1, 1, 1, 1]);
-    let tiny = ops::conv2d(&tiny_in, &tiny_w, None, 1, 0).unwrap();
+    let tiny = ops::conv2d(&Runtime::serial(), isa, &tiny_in, &tiny_w, None, 1, 0).unwrap();
     for t in THREADS {
         assert_eq!(
-            ops::conv2d_with(&Runtime::new(t), &tiny_in, &tiny_w, None, 1, 0).unwrap(),
+            ops::conv2d(&Runtime::new(t), isa, &tiny_in, &tiny_w, None, 1, 0).unwrap(),
             tiny
         );
     }
@@ -127,13 +132,14 @@ fn conv2d_parity_without_bias_and_degenerate_batch() {
 
 #[test]
 fn linear_parity_over_batch_shapes() {
+    let isa = simd::active();
     for (batch, in_f, out_f) in [(1usize, 40usize, 30usize), (6, 11, 17), (16, 8, 4), (1, 1, 1)] {
         let x = fill([batch, in_f]);
         let w = fill([out_f, in_f]);
         let b = fill([out_f]);
-        let serial = ops::linear(&x, &w, Some(&b)).unwrap();
+        let serial = ops::linear(&Runtime::serial(), isa, &x, &w, Some(&b)).unwrap();
         for t in THREADS {
-            let par = ops::linear_with(&Runtime::new(t), &x, &w, Some(&b)).unwrap();
+            let par = ops::linear(&Runtime::new(t), isa, &x, &w, Some(&b)).unwrap();
             assert_close(&par, &serial, &format!("linear {batch}x{in_f}x{out_f} threads={t}"));
         }
     }
@@ -141,18 +147,20 @@ fn linear_parity_over_batch_shapes() {
 
 #[test]
 fn pool_and_activation_parity() {
+    let isa = simd::active();
     let t = fill([2, 4, 8, 8]);
-    let serial_max = ops::max_pool2d(&t, 2, 2).unwrap();
-    let serial_avg = ops::avg_pool2d(&t, 3, 1).unwrap();
-    let serial_soft = ops::softmax(&t.reshape([8, 64]).unwrap());
+    let serial = Runtime::serial();
+    let serial_max = ops::max_pool2d(&serial, isa, &t, 2, 2).unwrap();
+    let serial_avg = ops::avg_pool2d(&serial, isa, &t, 3, 1).unwrap();
+    let serial_soft = ops::softmax(&serial, isa, &t.reshape([8, 64]).unwrap());
     for threads in THREADS {
         let rt = Runtime::new(threads);
-        assert_eq!(ops::max_pool2d_with(&rt, &t, 2, 2).unwrap(), serial_max);
-        assert_eq!(ops::avg_pool2d_with(&rt, &t, 3, 1).unwrap(), serial_avg);
-        assert_eq!(ops::relu_with(&rt, &t), ops::relu(&t));
-        assert_eq!(ops::leaky_relu_with(&rt, &t, 0.1), ops::leaky_relu(&t, 0.1));
+        assert_eq!(ops::max_pool2d(&rt, isa, &t, 2, 2).unwrap(), serial_max);
+        assert_eq!(ops::avg_pool2d(&rt, isa, &t, 3, 1).unwrap(), serial_avg);
+        assert_eq!(ops::relu(&rt, isa, &t), ops::relu(&serial, isa, &t));
+        assert_eq!(ops::leaky_relu(&rt, isa, &t, 0.1), ops::leaky_relu(&serial, isa, &t, 0.1));
         assert_close(
-            &ops::softmax_with(&rt, &t.reshape([8, 64]).unwrap()),
+            &ops::softmax(&rt, isa, &t.reshape([8, 64]).unwrap()),
             &serial_soft,
             &format!("softmax threads={threads}"),
         );

@@ -2,7 +2,7 @@
 //!
 //! Every kernel is exercised on **both** the detected backend
 //! (`simd::active()`) and the portable scalar backend (`Isa::SCALAR`,
-//! invoked directly through the `_isa` entry points — not via the
+//! passed directly as each op's `isa` argument — not via the
 //! `force-scalar` feature) in one run, so CI on any host covers both
 //! paths. The contract under test is the crate's numerics policy:
 //!
@@ -70,12 +70,12 @@ fn matmul_simd_matches_scalar_within_fma_tolerance() {
     for (m, k, n) in [(1, 1, 1), (4, 8, 16), (7, 300, 23), (33, 65, 40)] {
         let a = fill([m, k]);
         let b = fill([k, n]);
-        let scalar = ops::matmul_isa(&Runtime::serial(), &a, &b, Isa::SCALAR).unwrap();
+        let scalar = ops::matmul(&Runtime::serial(), Isa::SCALAR, &a, &b).unwrap();
         for t in THREADS {
             let rt = Runtime::new(t);
-            let vec = ops::matmul_isa(&rt, &a, &b, simd::active()).unwrap();
+            let vec = ops::matmul(&rt, simd::active(), &a, &b).unwrap();
             assert_rel_close(&vec, &scalar, &format!("matmul {m}x{k}x{n} t={t}"));
-            let sc = ops::matmul_isa(&rt, &a, &b, Isa::SCALAR).unwrap();
+            let sc = ops::matmul(&rt, Isa::SCALAR, &a, &b).unwrap();
             assert_bits_equal(&sc, &scalar, &format!("scalar matmul {m}x{k}x{n} t={t}"));
         }
     }
@@ -86,12 +86,12 @@ fn linear_simd_matches_scalar_within_fma_tolerance() {
     let x = fill([3, 70]);
     let w = fill([19, 70]);
     let bias = fill([19]);
-    let scalar = ops::linear_isa(&Runtime::serial(), &x, &w, Some(&bias), Isa::SCALAR).unwrap();
+    let scalar = ops::linear(&Runtime::serial(), Isa::SCALAR, &x, &w, Some(&bias)).unwrap();
     for t in THREADS {
         let rt = Runtime::new(t);
-        let vec = ops::linear_isa(&rt, &x, &w, Some(&bias), simd::active()).unwrap();
+        let vec = ops::linear(&rt, simd::active(), &x, &w, Some(&bias)).unwrap();
         assert_rel_close(&vec, &scalar, &format!("linear t={t}"));
-        let sc = ops::linear_isa(&rt, &x, &w, Some(&bias), Isa::SCALAR).unwrap();
+        let sc = ops::linear(&rt, Isa::SCALAR, &x, &w, Some(&bias)).unwrap();
         assert_bits_equal(&sc, &scalar, &format!("scalar linear t={t}"));
     }
 }
@@ -102,23 +102,23 @@ fn conv2d_simd_matches_scalar_within_fma_tolerance() {
     let weight = fill([5, 3, 3, 3]);
     let bias = fill([5]);
     for (stride, pad) in [(1, 1), (2, 0)] {
-        let scalar = ops::conv2d_isa(
+        let scalar = ops::conv2d(
             &Runtime::serial(),
+            Isa::SCALAR,
             &input,
             &weight,
             Some(&bias),
             stride,
             pad,
-            Isa::SCALAR,
         )
         .unwrap();
         for t in THREADS {
             let rt = Runtime::new(t);
             let vec =
-                ops::conv2d_isa(&rt, &input, &weight, Some(&bias), stride, pad, simd::active())
+                ops::conv2d(&rt, simd::active(), &input, &weight, Some(&bias), stride, pad)
                     .unwrap();
             assert_rel_close(&vec, &scalar, &format!("conv s={stride} p={pad} t={t}"));
-            let sc = ops::conv2d_isa(&rt, &input, &weight, Some(&bias), stride, pad, Isa::SCALAR)
+            let sc = ops::conv2d(&rt, Isa::SCALAR, &input, &weight, Some(&bias), stride, pad)
                 .unwrap();
             assert_bits_equal(&sc, &scalar, &format!("scalar conv s={stride} p={pad} t={t}"));
         }
@@ -129,17 +129,17 @@ fn conv2d_simd_matches_scalar_within_fma_tolerance() {
 fn activations_are_bit_identical_across_backends() {
     // Length not a multiple of 8 exercises the scalar tails.
     let t = fill([3, 7, 11]);
-    let scalar_relu = ops::relu_isa(&Runtime::serial(), &t, Isa::SCALAR);
-    let scalar_leaky = ops::leaky_relu_isa(&Runtime::serial(), &t, 0.1, Isa::SCALAR);
+    let scalar_relu = ops::relu(&Runtime::serial(), Isa::SCALAR, &t);
+    let scalar_leaky = ops::leaky_relu(&Runtime::serial(), Isa::SCALAR, &t, 0.1);
     for threads in THREADS {
         let rt = Runtime::new(threads);
         assert_bits_equal(
-            &ops::relu_isa(&rt, &t, simd::active()),
+            &ops::relu(&rt, simd::active(), &t),
             &scalar_relu,
             &format!("relu t={threads}"),
         );
         assert_bits_equal(
-            &ops::leaky_relu_isa(&rt, &t, 0.1, simd::active()),
+            &ops::leaky_relu(&rt, simd::active(), &t, 0.1),
             &scalar_leaky,
             &format!("leaky_relu t={threads}"),
         );
@@ -151,18 +151,18 @@ fn pooling_is_bit_identical_across_backends() {
     let t = fill([2, 3, 19, 21]);
     for (window, stride) in [(2, 1), (3, 1), (2, 2), (3, 2)] {
         let max_s =
-            ops::max_pool2d_isa(&Runtime::serial(), &t, window, stride, Isa::SCALAR).unwrap();
+            ops::max_pool2d(&Runtime::serial(), Isa::SCALAR, &t, window, stride).unwrap();
         let avg_s =
-            ops::avg_pool2d_isa(&Runtime::serial(), &t, window, stride, Isa::SCALAR).unwrap();
+            ops::avg_pool2d(&Runtime::serial(), Isa::SCALAR, &t, window, stride).unwrap();
         for threads in THREADS {
             let rt = Runtime::new(threads);
             assert_bits_equal(
-                &ops::max_pool2d_isa(&rt, &t, window, stride, simd::active()).unwrap(),
+                &ops::max_pool2d(&rt, simd::active(), &t, window, stride).unwrap(),
                 &max_s,
                 &format!("max_pool w={window} s={stride} t={threads}"),
             );
             assert_bits_equal(
-                &ops::avg_pool2d_isa(&rt, &t, window, stride, simd::active()).unwrap(),
+                &ops::avg_pool2d(&rt, simd::active(), &t, window, stride).unwrap(),
                 &avg_s,
                 &format!("avg_pool w={window} s={stride} t={threads}"),
             );
@@ -177,22 +177,23 @@ fn batch_norm_is_bit_identical_across_backends() {
     let beta = fill([5]);
     let mean = fill([5]);
     let var = Tensor::from_vec([5], vec![0.5, 1.0, 2.0, 0.25, 4.0]).unwrap();
-    let scalar = ops::batch_norm_isa(
+    let scalar = ops::batch_norm(
         &Runtime::serial(),
+        Isa::SCALAR,
         &x,
         &gamma,
         &beta,
         &mean,
         &var,
         1e-5,
-        Isa::SCALAR,
     )
     .unwrap();
-    // The _with entry must match the serial entry exactly too.
-    let plain = ops::batch_norm(&x, &gamma, &beta, &mean, &var, 1e-5).unwrap();
+    // A serial run on the active backend must match exactly too.
+    let (serial, isa) = (Runtime::serial(), simd::active());
+    let plain = ops::batch_norm(&serial, isa, &x, &gamma, &beta, &mean, &var, 1e-5).unwrap();
     for threads in THREADS {
         let rt = Runtime::new(threads);
-        let vec = ops::batch_norm_isa(&rt, &x, &gamma, &beta, &mean, &var, 1e-5, simd::active())
+        let vec = ops::batch_norm(&rt, simd::active(), &x, &gamma, &beta, &mean, &var, 1e-5)
             .unwrap();
         assert_bits_equal(&vec, &scalar, &format!("batch_norm t={threads}"));
         assert_bits_equal(&vec, &plain, &format!("batch_norm vs plain t={threads}"));
@@ -246,7 +247,7 @@ fn conv2d_batch_of_n_matches_n_single_image_convs_bitwise() {
             for t in THREADS {
                 let rt = Runtime::new(t);
                 let batched =
-                    ops::conv2d_isa(&rt, &input, &weight, Some(&bias), stride, pad, isa).unwrap();
+                    ops::conv2d(&rt, isa, &input, &weight, Some(&bias), stride, pad).unwrap();
                 let (_, c_out, h_out, w_out) = batched.shape().as_nchw().unwrap();
                 let out_len = c_out * h_out * w_out;
                 for img in 0..n_imgs {
@@ -256,7 +257,7 @@ fn conv2d_batch_of_n_matches_n_single_image_convs_bitwise() {
                     )
                     .unwrap();
                     let one =
-                        ops::conv2d_isa(&rt, &single, &weight, Some(&bias), stride, pad, isa)
+                        ops::conv2d(&rt, isa, &single, &weight, Some(&bias), stride, pad)
                             .unwrap();
                     let got = &batched.as_slice()[img * out_len..][..out_len];
                     for (i, (x, y)) in got.iter().zip(one.iter()).enumerate() {

@@ -26,6 +26,9 @@
 //!   full event stream would not fit in memory.
 //! * **Exporters.** Chrome trace-event JSON (loadable in Perfetto or
 //!   `chrome://tracing`) and a plain-text per-stage summary table.
+//! * **One JSON module.** [`json`] is the workspace's parser,
+//!   well-formedness check and string escaper for every hand-rolled
+//!   JSON artifact.
 //!
 //! # Examples
 //!
@@ -46,11 +49,13 @@
 //! ```
 
 mod chrome;
+pub mod json;
 mod loghist;
 mod recorder;
 mod summary;
 
-pub use chrome::{chrome_trace_json, validate_json};
+pub use chrome::chrome_trace_json;
+pub use json::validate_json;
 pub use loghist::{LogHistogram, BUCKETS_PER_OCTAVE};
 pub use recorder::{
     counter, enabled, flush_thread, instant, instant_at, now_ns, span, span_at, Event, EventKind,
