@@ -37,7 +37,8 @@ pub struct CellSpec {
     pub frames: usize,
     /// Crash recovery policy. `None` (the default) quarantines the
     /// cell on the first injected crash; `Some` restores the newest
-    /// checkpoint and deterministically replays the gap instead.
+    /// checkpoint and deterministically replays the gap instead. Both
+    /// hold on every schedule, batched or not.
     pub recovery: Option<RecoveryPolicy>,
 }
 
@@ -307,16 +308,20 @@ fn fold_frame(h: &mut Hasher, out: &SupervisedFrameResult) {
     );
 }
 
-/// One cell's in-flight streaming state: the supervisor plus every
-/// per-frame accumulator (`run_cell`'s loop variables, reified).
+/// One cell's in-flight streaming state: the supervisor, every
+/// per-frame accumulator, and the crash containment its spec asks for.
+/// Both fleet schedules drive cells through this one type.
 ///
 /// The split into [`CellRun::stage`] / [`CellRun::complete`] exists
 /// for the lockstep batched engine: it pauses every cell at the
 /// detection hand-off point of the *same* frame index, runs one
 /// cross-vehicle batched forward pass, and resumes each cell with its
 /// detections. [`CellRun::step`] is the unbatched equivalent (stage +
-/// inline detection + complete in one call) used by [`run_cell`].
-pub(crate) struct CellRun {
+/// inline detection + complete in one call) used by [`run_cell`] and by
+/// crash replay. Either way the frame's crash-prone half runs under
+/// [`CellRun::contained`].
+pub(crate) struct CellRun<'a> {
+    assets: &'a FleetAssets,
     spec: CellSpec,
     sup: Supervisor,
     hists: StageHistograms,
@@ -327,9 +332,10 @@ pub(crate) struct CellRun {
     uncaught: u64,
     // Crash-containment ledger. Deliberately *outside* CellCheckpoint:
     // the audit trail of what recovery did must survive any restore.
+    // `coord` is `None` without a recovery policy (a crash quarantines)
+    // and otherwise holds the newest checkpoint and the restart budget.
+    coord: Option<RecoveryCoordinator<CellCheckpoint>>,
     quarantined: bool,
-    checkpoints: u64,
-    checkpoint_bytes: u64,
     crash_log: Vec<String>,
 }
 
@@ -349,32 +355,32 @@ pub(crate) struct CellCheckpoint {
 }
 
 impl CellCheckpoint {
-    /// Frames settled when this checkpoint was taken.
-    pub(crate) fn frames_done(&self) -> u64 {
-        self.sup.frames_done()
-    }
-
     /// Rough deterministic footprint: the supervisor checkpoint's
     /// estimate plus the fold accumulators' fixed-size state.
-    pub(crate) fn approx_bytes(&self) -> usize {
+    fn approx_bytes(&self) -> usize {
         self.sup.approx_bytes()
             + std::mem::size_of::<StageHistograms>()
             + self.e2e.len() * std::mem::size_of::<f64>()
     }
 }
 
-impl CellRun {
+impl<'a> CellRun<'a> {
     /// Builds the cell's supervisor and zeroed accumulators. The
-    /// caller has already stamped `spec.supervisor.vehicle`.
+    /// caller has already stamped `spec.supervisor.vehicle`. A cell
+    /// with a recovery policy takes its unconditional frame-0
+    /// checkpoint here: recovery always has somewhere to restore to,
+    /// whatever the interval.
     pub(crate) fn new(
-        assets: &FleetAssets,
+        assets: &'a FleetAssets,
         spec: CellSpec,
         pipeline: &NativePipelineConfig,
     ) -> Self {
         let sup =
             assets.supervisor(spec.seed, spec.faults.clone(), spec.supervisor.clone(), pipeline);
         let e2e = adsim_stats::LatencyRecorder::with_capacity(spec.frames);
-        Self {
+        let coord = spec.recovery.map(RecoveryCoordinator::new);
+        let mut run = Self {
+            assets,
             spec,
             sup,
             hists: StageHistograms::new(),
@@ -383,26 +389,126 @@ impl CellRun {
             mot: MotAccumulator::new(MOT_IOU),
             injected: 0,
             uncaught: 0,
+            coord,
             quarantined: false,
-            checkpoints: 0,
-            checkpoint_bytes: 0,
             crash_log: Vec::new(),
+        };
+        run.store_checkpoint();
+        run
+    }
+
+    /// Whether the cell processes frame `idx`: inside its frame budget
+    /// and not quarantined. A restart replays the crashed frame inline,
+    /// so a recovered cell is due at the next frame like any other.
+    pub(crate) fn due(&self, idx: u64) -> bool {
+        !self.quarantined && idx < self.spec.frames as u64
+    }
+
+    /// Frames settled so far — the index of the frame the cell runs
+    /// next.
+    fn frames_done(&self) -> u64 {
+        self.sup.recovery_stats().frames
+    }
+
+    /// Runs the crash-prone half of one frame (`step` inline, `stage`
+    /// in a lockstep wave) under containment, after any checkpoint due
+    /// at this frame boundary. An injected crash is handed to
+    /// [`CellRun::contain`] and yields `None`; any other panic is
+    /// re-raised — containment must never mask a genuine bug.
+    pub(crate) fn contained<T>(&mut self, work: impl FnOnce(&mut Self) -> T) -> Option<T> {
+        // A disarmed cell (budget exhausted) never crashes again, so
+        // it stops checkpointing. The post-restart refresh may already
+        // cover this frame.
+        let due = self.coord.as_ref().is_some_and(|c| {
+            let idx = self.frames_done();
+            c.due(idx) && c.last().map(|(f, _)| f) != Some(idx) && self.sup.crash_armed()
+        });
+        if due {
+            self.store_checkpoint();
+        }
+        let payload = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(self))) {
+            Ok(done) => return Some(done),
+            Err(payload) => payload,
+        };
+        match describe_panic(payload.as_ref()) {
+            (msg, Some(crash)) => self.contain(crash, &msg),
+            (_, None) => std::panic::resume_unwind(payload),
+        }
+        None
+    }
+
+    /// Contains one injected crash at the cell boundary.
+    ///
+    /// Without a recovery policy the crash is audited and the cell is
+    /// quarantined at its last completed frame `F - 1`. Otherwise the
+    /// crash→restore→replay protocol runs (order is load-bearing):
+    /// 1. ask the coordinator for budget;
+    /// 2. restore the newest checkpoint (frames rewind to `C`);
+    /// 3. audit the crash *after* the restore so the synthetic flight
+    ///    record, crash counter and `CellCrash` dump survive it;
+    /// 4. disarm crashes and replay frames `C..=F` inline on a private
+    ///    stream (the crashed frame `F` re-runs and completes —
+    ///    transient-crash semantics);
+    /// 5. re-arm, record the restart, and take a *fresh* checkpoint at
+    ///    `F + 1` so the audit trail also survives any future restore.
+    ///
+    /// An exhausted budget does the same restore and replay with the
+    /// terminal SafeStop latched first, and leaves crashes disarmed
+    /// for good: the cell parks through every remaining frame.
+    fn contain(&mut self, crash: InjectedCrash, msg: &str) {
+        let Some(mut coord) = self.coord.take() else {
+            self.sup.record_cell_crash(crash.frame, crash.stage, msg);
+            self.crash_log.push(format!(
+                "frame {}: {} crashed ({msg}); quarantined — no restart path",
+                crash.frame, crash.stage,
+            ));
+            self.quarantined = true;
+            return;
+        };
+        let action = coord.on_crash().expect("frame-0 checkpoint always stored");
+        let (resumed_from, ck) = coord.last().expect("frame-0 checkpoint always stored");
+        // The crashed frame never settled, so this is its index `F`.
+        let crashed = self.frames_done();
+        // MTTR in frames: everything between the checkpoint and the
+        // crashed frame, crashed frame included.
+        let replayed = crashed - resumed_from + 1;
+        let exhausted = action == CrashAction::Exhausted;
+        let record = CrashRecord {
+            frame: crash.frame,
+            stage: crash.stage,
+            message: msg.to_string(),
+            resumed_from,
+            replayed,
+            exhausted,
+        };
+        self.restore(ck);
+        self.coord = Some(coord);
+        self.sup.record_cell_crash(record.frame, record.stage, msg);
+        self.crash_log.push(record.to_string());
+        self.sup.set_crash_armed(false);
+        if exhausted {
+            self.sup.record_crash_exhausted();
+        }
+        let assets = self.assets;
+        let mut stream = assets.scenario().stream(assets.resolution());
+        stream.seek(resumed_from);
+        for frame in stream.take(replayed as usize) {
+            self.step(&frame);
+        }
+        if !exhausted {
+            self.sup.set_crash_armed(true);
+            self.sup.record_restart(crash.frame, crash.stage, resumed_from, replayed);
+            self.store_checkpoint();
         }
     }
 
-    /// The cell's recovery policy, if any.
-    pub(crate) fn recovery(&self) -> Option<RecoveryPolicy> {
-        self.spec.recovery
-    }
-
-    /// Whether an injected crash has quarantined this cell.
-    pub(crate) fn is_quarantined(&self) -> bool {
-        self.quarantined
-    }
-
-    /// Snapshots the supervisor and every fold accumulator.
-    pub(crate) fn checkpoint(&self) -> CellCheckpoint {
-        CellCheckpoint {
+    /// Snapshots the supervisor and every fold accumulator into the
+    /// coordinator (a no-op without a recovery policy).
+    fn store_checkpoint(&mut self) {
+        let Some(mut coord) = self.coord.take() else {
+            return;
+        };
+        let ck = CellCheckpoint {
             sup: self.sup.checkpoint(),
             hists: self.hists.clone(),
             e2e: self.e2e.clone(),
@@ -410,12 +516,15 @@ impl CellRun {
             mot: self.mot.clone(),
             injected: self.injected,
             uncaught: self.uncaught,
-        }
+        };
+        let bytes = ck.approx_bytes();
+        coord.store(ck.sup.frames_done(), ck, bytes);
+        self.coord = Some(coord);
     }
 
     /// Rewinds to a checkpoint taken earlier on this same cell. The
     /// containment ledger is untouched — crashes stay recorded.
-    pub(crate) fn restore(&mut self, ck: &CellCheckpoint) {
+    fn restore(&mut self, ck: &CellCheckpoint) {
         self.sup.restore(&ck.sup);
         self.hists = ck.hists.clone();
         self.e2e = ck.e2e.clone();
@@ -423,36 +532,6 @@ impl CellRun {
         self.mot = ck.mot.clone();
         self.injected = ck.injected;
         self.uncaught = ck.uncaught;
-    }
-
-    /// Arms or disarms the supervisor's scheduled crash faults (the
-    /// replay window runs disarmed — transient-crash semantics).
-    pub(crate) fn set_crash_armed(&mut self, armed: bool) {
-        self.sup.set_crash_armed(armed);
-    }
-
-    /// Audits one contained crash: supervisor-side record (synthetic
-    /// flight-recorder entry, crash counter, `CellCrash` dump) plus
-    /// the cell's rendered ledger line.
-    pub(crate) fn record_crash(&mut self, record: &CrashRecord, msg: &str) {
-        self.sup.record_cell_crash(record.frame, record.stage, msg);
-        self.crash_log.push(record.to_string());
-    }
-
-    /// Quarantines the cell after a crash with no recovery path: the
-    /// crash is audited, the cell stops at its last completed frame.
-    pub(crate) fn quarantine(&mut self, crash: InjectedCrash, msg: &str) {
-        self.sup.record_cell_crash(crash.frame, crash.stage, msg);
-        self.crash_log.push(format!(
-            "frame {}: {} crashed ({msg}); quarantined — no restart path",
-            crash.frame, crash.stage,
-        ));
-        self.quarantined = true;
-    }
-
-    /// Frames this cell's spec asks for.
-    pub(crate) fn frames(&self) -> usize {
-        self.spec.frames
     }
 
     /// Processes one frame inline (no batching hand-off).
@@ -547,8 +626,8 @@ impl CellRun {
             crashes: stats.crashes,
             restarts: stats.restarts,
             replayed_frames: stats.replayed_frames,
-            checkpoints: self.checkpoints,
-            checkpoint_bytes: self.checkpoint_bytes,
+            checkpoints: self.coord.as_ref().map_or(0, |c| c.checkpoints()),
+            checkpoint_bytes: self.coord.as_ref().map_or(0, |c| c.checkpoint_bytes()),
             quarantined: self.quarantined,
             crash_log: std::mem::take(&mut self.crash_log),
             gov_log: self.sup.governor_events().iter().map(|e| e.to_string()).collect(),
@@ -585,129 +664,17 @@ pub fn run_cell(
     // returns exactly this cell's series.
     adsim_telemetry::flush_thread();
     let mut run = CellRun::new(assets, spec.clone(), pipeline);
-    drive_cell(assets, &mut run);
+    // The frame loop. A restart replays up to the crashed frame inline,
+    // so the cell stays in step with the stream; only quarantine (or
+    // the frame budget) ends it.
+    let mut stream = assets.scenario().stream(assets.resolution());
+    let mut idx = 0;
+    while run.due(idx) {
+        let frame = stream.next().expect("frame streams are endless");
+        run.contained(|cell| cell.step(&frame));
+        idx += 1;
+    }
     let mut telemetry = adsim_telemetry::drain_thread();
     telemetry.sort();
     run.into_outcome(telemetry)
-}
-
-/// Steps one frame through the cell, catching an injected-crash panic.
-/// Returns the typed crash (with its rendered message) when the frame
-/// died; re-raises any panic that is not an injected fault.
-fn step_contained(run: &mut CellRun, frame: &Frame) -> Result<(), (InjectedCrash, String)> {
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.step(frame)));
-    match res {
-        Ok(()) => Ok(()),
-        Err(payload) => {
-            let (msg, injected) = describe_panic(payload.as_ref());
-            match injected {
-                Some(crash) => Err((crash, msg)),
-                // A genuine bug: containment must not swallow it.
-                None => std::panic::resume_unwind(payload),
-            }
-        }
-    }
-}
-
-/// The cell's frame loop with crash containment.
-///
-/// Crash→restore→replay protocol (order is load-bearing):
-/// 1. catch the typed panic; ask the coordinator for budget;
-/// 2. restore the newest checkpoint (frames rewind to `C`);
-/// 3. audit the crash *after* the restore so the synthetic flight
-///    record, crash counter and `CellCrash` dump survive it;
-/// 4. disarm crashes and replay frames `C..=F` (the crashed frame `F`
-///    re-runs and completes — transient-crash semantics);
-/// 5. re-arm, record the restart, and take a *fresh* checkpoint at
-///    `F + 1` so the audit trail also survives any future restore;
-/// 6. continue at `F + 1`.
-///
-/// An exhausted budget restores once more, latches the terminal
-/// SafeStop, permanently disarms, and finishes every remaining frame
-/// parked — the cell still reports `spec.frames` frames.
-fn drive_cell(assets: &FleetAssets, run: &mut CellRun) {
-    let frames = run.frames() as u64;
-    let mut stream = assets.scenario().stream(assets.resolution());
-    let Some(policy) = run.recovery() else {
-        // No recovery: first injected crash quarantines the cell.
-        for _ in 0..frames {
-            let frame = stream.next().expect("frame streams are endless");
-            if let Err((crash, msg)) = step_contained(run, &frame) {
-                run.quarantine(crash, &msg);
-                return;
-            }
-        }
-        return;
-    };
-
-    let mut coord: RecoveryCoordinator<CellCheckpoint> = RecoveryCoordinator::new(policy);
-    // Unconditional frame-0 checkpoint: recovery always has somewhere
-    // to restore to, whatever the interval.
-    let ck = run.checkpoint();
-    let bytes = ck.approx_bytes();
-    let at = ck.frames_done();
-    coord.store(at, ck, bytes);
-    let mut idx: u64 = 0;
-    while idx < frames {
-        // Interval checkpoints (skipping a frame the post-restart
-        // refresh below already covered).
-        if coord.due(idx) && coord.last().map(|(f, _)| f) != Some(idx) {
-            let ck = run.checkpoint();
-            let bytes = ck.approx_bytes();
-            let at = ck.frames_done();
-            debug_assert_eq!(at, idx, "checkpoints land on frame boundaries");
-            coord.store(at, ck, bytes);
-        }
-        let frame = stream.next().expect("frame streams are endless");
-        match step_contained(run, &frame) {
-            Ok(()) => idx += 1,
-            Err((crash, msg)) => {
-                let action = coord.on_crash().expect("frame-0 checkpoint always stored");
-                let (ck_frame, ck) = coord.last().expect("frame-0 checkpoint always stored");
-                // MTTR in frames: everything between the checkpoint
-                // and the crashed frame, crashed frame included.
-                let replayed = idx - ck_frame + 1;
-                let exhausted = matches!(action, CrashAction::Exhausted { .. });
-                let record = CrashRecord {
-                    frame: crash.frame,
-                    stage: crash.stage,
-                    message: msg.clone(),
-                    resumed_from: ck_frame,
-                    replayed,
-                    exhausted,
-                };
-                run.restore(ck);
-                run.record_crash(&record, &msg);
-                coord.record(record);
-                run.set_crash_armed(false);
-                stream.seek(ck_frame);
-                if exhausted {
-                    // Budget gone: park the vehicle for every frame
-                    // left, crashes permanently disarmed.
-                    run.sup.record_crash_exhausted();
-                    for _ in ck_frame..frames {
-                        let frame = stream.next().expect("frame streams are endless");
-                        run.step(&frame);
-                    }
-                    idx = frames;
-                } else {
-                    for _ in ck_frame..=idx {
-                        let frame = stream.next().expect("frame streams are endless");
-                        run.step(&frame);
-                    }
-                    run.set_crash_armed(true);
-                    run.sup.record_restart(crash.frame, crash.stage, ck_frame, replayed);
-                    idx += 1;
-                    // Fresh checkpoint: the crash/restart audit above
-                    // must survive any future restore.
-                    let ck = run.checkpoint();
-                    let bytes = ck.approx_bytes();
-                    let at = ck.frames_done();
-                    coord.store(at, ck, bytes);
-                }
-            }
-        }
-    }
-    run.checkpoints = coord.checkpoints();
-    run.checkpoint_bytes = coord.checkpoint_bytes();
 }

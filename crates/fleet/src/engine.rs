@@ -131,6 +131,16 @@ impl FleetEngine {
     /// Runs every spec to completion and returns outcomes in spec
     /// order plus the streamed fleet aggregation.
     pub fn run(&self, specs: &[CellSpec]) -> CampaignResult {
+        self.run_on(specs, self.cfg.workers)
+    }
+
+    /// [`FleetEngine::run`] on a single in-place worker — the serial
+    /// reference the parity tests compare fleet runs against.
+    pub fn run_serial(&self, specs: &[CellSpec]) -> CampaignResult {
+        self.run_on(specs, 1)
+    }
+
+    fn run_on(&self, specs: &[CellSpec], workers: usize) -> CampaignResult {
         let start = Instant::now();
         let sink = Mutex::new(FleetSink::new());
         // Per-spec result slots: each cell writes its own index, so
@@ -138,8 +148,7 @@ impl FleetEngine {
         // reorders results.
         let slots: Vec<Mutex<Option<CellOutcome>>> =
             specs.iter().map(|_| Mutex::new(None)).collect();
-        let rt = Runtime::new(self.cfg.workers);
-        rt.run(specs.len(), |i| {
+        Runtime::new(workers).run(specs.len(), |i| {
             // The spec index is the vehicle id: every metric and flight
             // dump a cell emits is labeled with it, independent of
             // which fleet worker ran the cell.
@@ -178,7 +187,7 @@ impl FleetEngine {
             outcomes,
             sink: sink.into_inner().expect("fleet sink poisoned"),
             wall_s: start.elapsed().as_secs_f64(),
-            workers: self.cfg.workers,
+            workers,
         }
     }
 
@@ -231,29 +240,16 @@ impl FleetEngine {
         let mut service = BatchedInference::new(Runtime::new(self.cfg.workers));
         let max_frames = specs.iter().map(|s| s.frames).max().unwrap_or(0);
         let mut stream = self.assets.scenario().stream(self.assets.resolution());
-        for fidx in 0..max_frames {
+        for fidx in 0..max_frames as u64 {
             let frame = stream.next().expect("frame streams are endless");
-            // Stage every cell still inside its frame budget. Injected
-            // crashes are contained per cell — the lockstep engine has
-            // no restart path (every cell must stage the *same* frame
-            // index), so a crashed cell is quarantined and skipped for
-            // the rest of the campaign while the others continue.
-            // Non-injected panics re-raise: they are genuine bugs.
+            // Stage every cell due at this frame. A cell whose staging
+            // crashed has already been contained: restored and
+            // replayed through this frame, or quarantined.
             let mut staged = Vec::new();
             for (i, cell) in cells.iter_mut().enumerate() {
-                if fidx < cell.frames() && !cell.is_quarantined() {
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        cell.stage(&frame)
-                    })) {
-                        Ok((sf, before)) => staged.push((i, sf, before)),
-                        Err(payload) => {
-                            let (msg, injected) =
-                                adsim_recovery::describe_panic(payload.as_ref());
-                            match injected {
-                                Some(crash) => cell.quarantine(crash, &msg),
-                                None => std::panic::resume_unwind(payload),
-                            }
-                        }
+                if cell.due(fidx) {
+                    if let Some((sf, before)) = cell.contained(|c| c.stage(&frame)) {
+                        staged.push((i, sf, before));
                     }
                 }
             }
@@ -302,27 +298,5 @@ impl FleetEngine {
             workers: self.cfg.workers,
         };
         (result, service.stats())
-    }
-
-    /// [`FleetEngine::run`] on a single in-place worker — the serial
-    /// reference the parity tests compare fleet runs against.
-    pub fn run_serial(&self, specs: &[CellSpec]) -> CampaignResult {
-        let start = Instant::now();
-        let mut sink = FleetSink::new();
-        let mut outcomes = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            let mut spec = spec.clone();
-            spec.supervisor.vehicle = i as u32;
-            let (outcome, hists) = run_cell(&self.assets, &spec, &self.cfg.pipeline);
-            sink.absorb(&outcome, &hists);
-            outcomes.push(outcome);
-        }
-        CampaignResult {
-            telemetry: Self::merge_telemetry(&outcomes),
-            outcomes,
-            sink,
-            wall_s: start.elapsed().as_secs_f64(),
-            workers: 1,
-        }
     }
 }

@@ -6,16 +6,15 @@
 //! vehicle down with it. This crate supplies the *process-restart*
 //! model over the in-memory pipeline:
 //!
-//! * a [`PipelineCheckpoint`] snapshots every piece of mutable
-//!   per-frame state — tracker pool, localizer pose + SLAM map
-//!   overlay, fusion history, planner, degradation state machine,
-//!   governor forecaster, fault-injector schedule position — at frame
-//!   boundaries;
 //! * a [`RecoveryCoordinator`] decides when to checkpoint (every
-//!   `checkpoint_interval` frames), remembers the newest checkpoint,
-//!   and converts each caught crash into a [`CrashAction`]: restore
-//!   and replay while the restart budget lasts, park the vehicle
-//!   (SafeStop) once it is exhausted;
+//!   `checkpoint_interval` frames), remembers the newest checkpoint
+//!   (the caller's snapshot type — the fleet stores its whole cell
+//!   state, built on `adsim_core::SupervisorCheckpoint`), and converts
+//!   each caught crash into a [`CrashAction`]: restore and replay
+//!   while the restart budget lasts, park the vehicle (SafeStop) once
+//!   it is exhausted;
+//! * a [`CrashRecord`] renders one contained crash as an audit-ledger
+//!   line;
 //! * [`describe_panic`] renders a caught panic payload — typed
 //!   [`InjectedCrash`] or a plain `&str`/`String` — into the audit
 //!   ledger line.
@@ -69,22 +68,16 @@ impl Default for RecoveryPolicy {
 }
 
 /// What the recovery coordinator decided to do about a caught crash.
+/// Either way execution resumes from the newest checkpoint
+/// ([`RecoveryCoordinator::last`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashAction {
-    /// Budget left: restore the newest checkpoint (taken after
-    /// `checkpoint_frame` frames had settled) and replay the gap.
-    Restart {
-        /// Frames settled when the checkpoint was taken — execution
-        /// resumes from this frame index.
-        checkpoint_frame: u64,
-    },
+    /// Budget left: restore the newest checkpoint and replay the gap.
+    Restart,
     /// Budget exhausted: restore once more so the audit trail lands in
     /// consistent state, then park the vehicle in a terminal SafeStop
     /// for every remaining frame.
-    Exhausted {
-        /// Frames settled when the checkpoint was taken.
-        checkpoint_frame: u64,
-    },
+    Exhausted,
 }
 
 /// One contained crash, for the cell's audit ledger.
@@ -134,25 +127,12 @@ pub struct RecoveryCoordinator<C> {
     checkpoints: u64,
     checkpoint_bytes: u64,
     restarts_used: u32,
-    log: Vec<CrashRecord>,
 }
 
 impl<C> RecoveryCoordinator<C> {
-    /// A coordinator with an empty ledger and full restart budget.
+    /// A coordinator with no checkpoint and a full restart budget.
     pub fn new(policy: RecoveryPolicy) -> Self {
-        Self {
-            policy,
-            newest: None,
-            checkpoints: 0,
-            checkpoint_bytes: 0,
-            restarts_used: 0,
-            log: Vec::new(),
-        }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
+        Self { policy, newest: None, checkpoints: 0, checkpoint_bytes: 0, restarts_used: 0 }
     }
 
     /// Whether a checkpoint is due before processing frame `index`.
@@ -177,19 +157,13 @@ impl<C> RecoveryCoordinator<C> {
     /// no checkpoint was ever stored — the caller must quarantine the
     /// cell instead (nothing to restore).
     pub fn on_crash(&mut self) -> Option<CrashAction> {
-        let (checkpoint_frame, _) = self.newest.as_ref()?;
-        let checkpoint_frame = *checkpoint_frame;
+        self.newest.as_ref()?;
         if self.restarts_used < self.policy.max_restarts {
             self.restarts_used += 1;
-            Some(CrashAction::Restart { checkpoint_frame })
+            Some(CrashAction::Restart)
         } else {
-            Some(CrashAction::Exhausted { checkpoint_frame })
+            Some(CrashAction::Exhausted)
         }
-    }
-
-    /// Appends a contained crash to the audit ledger.
-    pub fn record(&mut self, record: CrashRecord) {
-        self.log.push(record);
     }
 
     /// Checkpoints taken so far.
@@ -200,56 +174,6 @@ impl<C> RecoveryCoordinator<C> {
     /// Peak approximate checkpoint footprint seen (bytes).
     pub fn checkpoint_bytes(&self) -> u64 {
         self.checkpoint_bytes
-    }
-
-    /// Restarts consumed from the budget.
-    pub fn restarts_used(&self) -> u32 {
-        self.restarts_used
-    }
-
-    /// The contained-crash ledger, in crash order.
-    pub fn log(&self) -> &[CrashRecord] {
-        &self.log
-    }
-
-    /// Renders the ledger for the cell outcome (one line per crash).
-    pub fn render_log(&self) -> Vec<String> {
-        self.log.iter().map(|r| r.to_string()).collect()
-    }
-}
-
-/// A supervisor checkpoint paired with its frame position — the unit
-/// the [`RecoveryCoordinator`] stores for a plain (non-fleet) pipeline.
-///
-/// The fleet layer wraps more (latency histograms, output digest, MOT
-/// accumulator) around the supervisor checkpoint in its own cell
-/// checkpoint; this type is the single-vehicle equivalent.
-#[derive(Debug, Clone)]
-pub struct PipelineCheckpoint {
-    frames_done: u64,
-    supervisor: adsim_core::SupervisorCheckpoint,
-}
-
-impl PipelineCheckpoint {
-    /// Snapshots `sup` after `frames_done` frames have settled.
-    pub fn capture(sup: &adsim_core::Supervisor, frames_done: u64) -> Self {
-        Self { frames_done, supervisor: sup.checkpoint() }
-    }
-
-    /// Rewinds `sup` to this checkpoint.
-    pub fn restore_into(&self, sup: &mut adsim_core::Supervisor) {
-        sup.restore(&self.supervisor);
-    }
-
-    /// Frames settled when the checkpoint was taken — the frame index
-    /// execution resumes from.
-    pub fn frames_done(&self) -> u64 {
-        self.frames_done
-    }
-
-    /// Rough in-memory footprint (bytes), deterministic.
-    pub fn approx_bytes(&self) -> usize {
-        self.supervisor.approx_bytes()
     }
 }
 
@@ -295,12 +219,16 @@ mod tests {
         let mut c: RecoveryCoordinator<u8> = RecoveryCoordinator::new(RecoveryPolicy::new(4, 2));
         assert_eq!(c.on_crash(), None, "no checkpoint stored yet");
         c.store(0, 0, 100);
-        assert_eq!(c.on_crash(), Some(CrashAction::Restart { checkpoint_frame: 0 }));
+        assert_eq!(c.on_crash(), Some(CrashAction::Restart));
+        assert_eq!(c.last(), Some((0, &0)));
         c.store(8, 1, 250);
-        assert_eq!(c.on_crash(), Some(CrashAction::Restart { checkpoint_frame: 8 }));
-        assert_eq!(c.on_crash(), Some(CrashAction::Exhausted { checkpoint_frame: 8 }));
-        assert_eq!(c.restarts_used(), 2);
-        assert_eq!(c.checkpoints(), 2);
+        assert_eq!(c.on_crash(), Some(CrashAction::Restart));
+        assert_eq!(c.last(), Some((8, &1)), "a restart resumes from the newest checkpoint");
+        assert_eq!(c.on_crash(), Some(CrashAction::Exhausted), "budget of 2 spent");
+        assert_eq!(c.on_crash(), Some(CrashAction::Exhausted), "exhaustion is terminal");
+        c.store(12, 2, 50);
+        assert_eq!(c.on_crash(), Some(CrashAction::Exhausted), "a new checkpoint refunds nothing");
+        assert_eq!(c.checkpoints(), 3);
         assert_eq!(c.checkpoint_bytes(), 250, "peak footprint");
     }
 

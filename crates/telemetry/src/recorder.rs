@@ -136,10 +136,14 @@ pub fn observe_ms(metric: &'static str, stage: &'static str, ms: f64) {
     with_shard(|reg, vehicle| reg.observe_ms(metric, vehicle, stage, ms));
 }
 
-/// Merges the calling thread's shard into the global sink. Pool tasks
-/// call this before their scope joins — `thread::scope` unblocks before
-/// TLS destructors run, so without it a worker's shard could merge
-/// after the session already finished.
+/// Merges the calling thread's shard into the global sink.
+/// [`TelemetrySession::finish`] calls it for the finishing thread, and
+/// the fleet engine calls it before a cell starts so a previous
+/// occupant's strays never reach that cell's [`drain_thread`]. Other
+/// threads merge on teardown. `adsim-runtime`'s pool tasks do not call
+/// it (they flush only the trace shard): telemetry is recorded on the
+/// calling thread only (`NativePipeline` records after its joins), so
+/// pool workers hold no telemetry shard to flush.
 pub fn flush_thread() {
     let _ = LOCAL.try_with(|l| l.borrow_mut().merge_into_sink());
 }

@@ -7,7 +7,7 @@
 use adsim::core::{DetectorKind, GuardConfig, NativePipelineConfig, SupervisorConfig, TrackerKind};
 use adsim::dnn::models::{goturn_tiny_shared, yolo_tiny_shared};
 use adsim::faults::FaultConfig;
-use adsim::fleet::{CellSpec, FleetAssets, FleetConfig, FleetEngine};
+use adsim::fleet::{CellSpec, FleetAssets, FleetConfig, FleetEngine, RecoveryPolicy};
 use adsim::workload::Resolution;
 
 const RES: Resolution = Resolution::Hhd;
@@ -31,6 +31,24 @@ fn specs() -> Vec<CellSpec> {
         CellSpec::new("data", data.clone(), 0x5EED2, FRAMES),
         CellSpec::new("voting", data, 0x5EED2, FRAMES).with_guard(GuardConfig::voting()),
         CellSpec::new("stress", FaultConfig::stress(), 0x5EED3, FRAMES),
+    ]
+}
+
+/// Three cells that crash within [`FRAMES`] (stress mix plus an 8%
+/// per-stage crash draw; the seeds fix the schedules):
+/// - `crash/recover` crashes at frames 4 and 5 and restores both times
+///   (interval 3, so the first restart replays two frames);
+/// - `crash/exhaust` crashes at frames 1 and 2 on a one-restart budget,
+///   so the second crash parks it in terminal SafeStop;
+/// - `crash/quarantine` has no recovery policy and stops at frame 1.
+fn crash_specs() -> Vec<CellSpec> {
+    let crashy = FaultConfig { crash_rate: 0.08, ..FaultConfig::stress() };
+    vec![
+        CellSpec::new("crash/recover", crashy.clone(), 0xC4BA, FRAMES)
+            .with_recovery(RecoveryPolicy::new(3, 8)),
+        CellSpec::new("crash/exhaust", crashy.clone(), 0xC4B9, FRAMES)
+            .with_recovery(RecoveryPolicy::new(2, 1)),
+        CellSpec::new("crash/quarantine", crashy, 0xC4B8, FRAMES),
     ]
 }
 
@@ -85,11 +103,13 @@ fn fleet_outputs_byte_identical_across_worker_counts() {
     }
 }
 
-/// The tentpole guarantee: a campaign served by cross-vehicle batched
-/// DNN inference reproduces the unbatched campaign byte for byte —
-/// signatures, logs, output digests, per-cell telemetry and the fleet
-/// merge — on any batch-runtime worker count, while actually sharing
-/// forward passes across vehicles.
+/// A campaign served by cross-vehicle batched DNN inference reproduces
+/// the unbatched campaign byte for byte — signatures, logs, output
+/// digests, per-cell telemetry and the fleet merge — on any
+/// batch-runtime worker count, while actually sharing forward passes
+/// across vehicles. Crashed cells are contained the same way on both
+/// schedules: restored and replayed, parked on an exhausted budget, or
+/// quarantined without a policy.
 #[test]
 fn batched_campaign_matches_unbatched_byte_for_byte() {
     let assets = FleetAssets::urban(RES);
@@ -100,8 +120,21 @@ fn batched_campaign_matches_unbatched_byte_for_byte() {
         },
         ..FleetConfig::with_workers(workers)
     };
-    let grid = specs();
+    let mut grid = specs();
+    grid.extend(crash_specs());
     let reference = FleetEngine::new(assets.clone(), fleet_cfg(1)).run_serial(&grid);
+    // The crash cells must reach each containment outcome, or parity
+    // on them proves nothing.
+    let [recover, exhaust, quarantine] = &reference.outcomes[4..] else {
+        panic!("three crash cells expected");
+    };
+    assert_eq!((recover.crashes, recover.restarts), (2, 2), "{}", recover.signature());
+    assert_eq!(recover.replayed_frames, 3);
+    assert!(!recover.quarantined && recover.frames == FRAMES as u64);
+    assert_eq!((exhaust.crashes, exhaust.restarts), (2, 1), "{}", exhaust.signature());
+    assert!(exhaust.crash_log[1].ends_with("budget exhausted, parking"));
+    assert!(!exhaust.quarantined && exhaust.frames == FRAMES as u64);
+    assert!(quarantine.quarantined && quarantine.frames == 1, "{}", quarantine.signature());
 
     for workers in [1usize, 2, 8] {
         let engine = FleetEngine::new(assets.clone(), fleet_cfg(workers));
@@ -117,6 +150,7 @@ fn batched_campaign_matches_unbatched_byte_for_byte() {
             "batched signatures diverged at {workers} workers"
         );
         for (got, want) in run.outcomes.iter().zip(&reference.outcomes) {
+            assert_eq!(got.crash_log, want.crash_log, "crash log diverged: {}", got.label);
             assert_eq!(got.sup_log, want.sup_log, "degradation log diverged: {}", got.label);
             assert_eq!(got.guard_log, want.guard_log, "guard log diverged: {}", got.label);
             assert_eq!(got.gov_log, want.gov_log, "governor log diverged: {}", got.label);
